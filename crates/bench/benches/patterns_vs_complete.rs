@@ -8,7 +8,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use orm_core::Validator;
-use orm_dl::translate;
+use orm_dl::{translate, ExecCx};
 use orm_gen::{faults, generate_clean, GenConfig};
 use orm_model::Schema;
 use orm_reasoner::{strong_satisfiability, Bounds};
@@ -45,10 +45,11 @@ fn bench_dl(c: &mut Criterion) {
     group.measurement_time(std::time::Duration::from_secs(8));
     for (name, schema) in schema_set() {
         group.bench_with_input(BenchmarkId::from_parameter(name), &schema, |b, schema| {
+            let cx = ExecCx::with_steps(100_000);
             b.iter(|| {
                 let translation = translate(schema);
                 for (role, _) in schema.roles() {
-                    black_box(translation.role_satisfiable(role, 100_000));
+                    black_box(translation.role_satisfiable_cx(role, &cx));
                 }
             })
         });

@@ -15,13 +15,15 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use orm_bench::tableau_scenarios::{
     all, classify_battery, classify_sweep, incremental_edit, BUDGET,
 };
+use orm_dl::ExecCx;
 use std::hint::black_box;
 
 fn bench_trail(c: &mut Criterion) {
     let mut group = c.benchmark_group("tableau_hotpath/trail");
+    let cx = ExecCx::with_steps(BUDGET);
     for scenario in all() {
         group.bench_with_input(BenchmarkId::from_parameter(&scenario.name), &scenario, |b, s| {
-            b.iter(|| black_box(orm_dl::satisfiable(&s.tbox, &s.query, BUDGET)))
+            b.iter(|| black_box(orm_dl::satisfiable_cx(&s.tbox, &s.query, &cx)))
         });
     }
     group.finish();
@@ -42,11 +44,12 @@ fn bench_classic(c: &mut Criterion) {
 fn bench_sweep(c: &mut Criterion) {
     let mut group = c.benchmark_group("tableau_hotpath/sweep");
     let s = classify_sweep(12, 8);
+    let cx = ExecCx::with_steps(BUDGET);
     group.bench_function(BenchmarkId::from_parameter(format!("{}_uncached", s.name)), |b| {
         b.iter(|| {
             for _ in 0..s.passes {
                 for q in &s.queries {
-                    black_box(orm_dl::satisfiable(&s.tbox, q, BUDGET));
+                    black_box(orm_dl::satisfiable_cx(&s.tbox, q, &cx));
                 }
             }
         })
@@ -56,7 +59,7 @@ fn bench_sweep(c: &mut Criterion) {
             let mut cache = orm_dl::SatCache::new();
             for _ in 0..s.passes {
                 for q in &s.queries {
-                    black_box(cache.satisfiable(&s.tbox, q, BUDGET));
+                    black_box(cache.satisfiable_cx(&s.tbox, q, &cx));
                 }
             }
         })
@@ -68,17 +71,18 @@ fn bench_classify_par(c: &mut Criterion) {
     let mut group = c.benchmark_group("tableau_hotpath/classify_par");
     let battery = classify_battery(14, 6);
     let translation = orm_dl::translate(&battery.schema);
+    let cx = ExecCx::with_steps(BUDGET);
     group.bench_function(BenchmarkId::from_parameter(format!("{}_seq", battery.name)), |b| {
         // A fresh clone per iteration: cold sharded cache, every pair
         // actually proved.
-        b.iter(|| black_box(translation.clone().classify(&battery.schema, BUDGET)))
+        b.iter(|| black_box(translation.clone().classify_cx(&battery.schema, &cx)))
     });
     for threads in [2usize, 4, 8] {
         group.bench_function(
             BenchmarkId::from_parameter(format!("{}_par{threads}", battery.name)),
             |b| {
                 b.iter(|| {
-                    black_box(translation.clone().classify_par(&battery.schema, BUDGET, threads))
+                    black_box(translation.clone().classify_par_cx(&battery.schema, &cx, threads))
                 })
             },
         );
@@ -89,6 +93,7 @@ fn bench_classify_par(c: &mut Criterion) {
 fn bench_incremental_edit(c: &mut Criterion) {
     let mut group = c.benchmark_group("tableau_hotpath/incremental_edit");
     let inc = incremental_edit(10, 6);
+    let cx = ExecCx::with_steps(BUDGET);
     // One battery population plus the post-edit rounds (the same shared
     // driver `experiments tableau` times, so the criterion numbers and
     // the JSON trajectory measure the identical workload); `wholesale`
@@ -98,8 +103,8 @@ fn bench_incremental_edit(c: &mut Criterion) {
     for (label, delta_aware) in [("wholesale", false), ("delta", true)] {
         group.bench_function(BenchmarkId::from_parameter(format!("{}_{label}", inc.name)), |b| {
             b.iter(|| {
-                let mut run = inc.populate(BUDGET);
-                black_box(run.edit_rounds(&inc, delta_aware, BUDGET))
+                let mut run = inc.populate(&cx);
+                black_box(run.edit_rounds(&inc, delta_aware, &cx))
             })
         });
     }

@@ -140,8 +140,11 @@ fn tableau_bench(out_path: &str, budget: u64) {
     let mut or_heavy_min_speedup = f64::MAX;
     let mut merge_gain_min: Option<f64> = None;
     let mut all_agree = true;
+    // Every engine call below runs under a context granting each proof
+    // `budget` steps.
+    let cx = orm_dl::ExecCx::with_steps(budget);
     for s in all() {
-        let (trail, v_new) = best_secs(5, || orm_dl::satisfiable(&s.tbox, &s.query, budget));
+        let (trail, v_new) = best_secs(5, || orm_dl::satisfiable_cx(&s.tbox, &s.query, &cx).into());
         let (classic, v_old) =
             best_secs(5, || orm_dl::classic::satisfiable(&s.tbox, &s.query, budget));
         let speedup = classic / trail.max(1e-9);
@@ -198,7 +201,7 @@ fn tableau_bench(out_path: &str, budget: u64) {
         let mut verdicts = Vec::new();
         for _ in 0..sweep.passes {
             for q in &sweep.queries {
-                verdicts.push(orm_dl::satisfiable(&sweep.tbox, q, budget));
+                verdicts.push(orm_dl::satisfiable_cx(&sweep.tbox, q, &cx));
             }
         }
         verdicts
@@ -208,7 +211,7 @@ fn tableau_bench(out_path: &str, budget: u64) {
         let mut verdicts = Vec::new();
         for _ in 0..sweep.passes {
             for q in &sweep.queries {
-                verdicts.push(cache.satisfiable(&sweep.tbox, q, budget));
+                verdicts.push(cache.satisfiable_cx(&sweep.tbox, q, &cx));
             }
         }
         (verdicts, cache.stats())
@@ -265,11 +268,11 @@ fn tableau_bench(out_path: &str, budget: u64) {
     for _ in 0..3 {
         let cold = translation.clone();
         let t0 = Instant::now();
-        seq_pairs = cold.classify(&battery.schema, budget);
+        seq_pairs = cold.classify_cx(&battery.schema, &cx);
         seq_secs = seq_secs.min(t0.elapsed().as_secs_f64());
         let cold = translation.clone();
         let t0 = Instant::now();
-        par_pairs = cold.classify_par(&battery.schema, budget, par_threads);
+        par_pairs = cold.classify_par_cx(&battery.schema, &cx, par_threads).0;
         par_secs = par_secs.min(t0.elapsed().as_secs_f64());
     }
     let pairs_agree = seq_pairs == par_pairs;
@@ -297,7 +300,6 @@ fn tableau_bench(out_path: &str, budget: u64) {
     // meter trips the token at an exact step count — no wall-clock
     // racing), and the expired-deadline no-op guarantee. Cache and
     // scheduler counters are emitted in their stable serialized form.
-    let sched_cx = orm_dl::ExecCx::with_steps(budget);
     let mut sched_seq_secs = f64::MAX;
     let mut sched_par_secs = f64::MAX;
     let mut sched_seq_pairs = Vec::new();
@@ -307,11 +309,11 @@ fn tableau_bench(out_path: &str, budget: u64) {
     for _ in 0..3 {
         let cold = translation.clone();
         let t0 = Instant::now();
-        sched_seq_pairs = cold.classify_cx(&battery.schema, &sched_cx);
+        sched_seq_pairs = cold.classify_cx(&battery.schema, &cx);
         sched_seq_secs = sched_seq_secs.min(t0.elapsed().as_secs_f64());
         let cold = translation.clone();
         let t0 = Instant::now();
-        let (pairs, stats) = cold.classify_par_cx(&battery.schema, &sched_cx, par_threads);
+        let (pairs, stats) = cold.classify_par_cx(&battery.schema, &cx, par_threads);
         sched_par_secs = sched_par_secs.min(t0.elapsed().as_secs_f64());
         sched_par_pairs = pairs;
         sched_stats = stats;
@@ -337,8 +339,7 @@ fn tableau_bench(out_path: &str, budget: u64) {
     let cancel_latency_ms = t0.elapsed().as_secs_f64() * 1e3;
     let cancel_executed = cancel_stats.executed;
     let cancel_skipped = cancel_stats.skipped;
-    let (after_cancel, _) =
-        cancel_translation.classify_par_cx(&battery.schema, &sched_cx, par_threads);
+    let (after_cancel, _) = cancel_translation.classify_par_cx(&battery.schema, &cx, par_threads);
     let cancel_agrees = after_cancel == seq_pairs;
     all_agree &= cancel_agrees;
 
@@ -381,9 +382,9 @@ fn tableau_bench(out_path: &str, budget: u64) {
     // rounds are timed; verdict streams must match round for round.
     let inc = incremental_edit(10, 6);
     let run_rounds = |delta_aware: bool| {
-        let mut run = inc.populate(budget);
+        let mut run = inc.populate(&cx);
         let t0 = Instant::now();
-        let verdicts = run.edit_rounds(&inc, delta_aware, budget);
+        let verdicts = run.edit_rounds(&inc, delta_aware, &cx);
         (t0.elapsed().as_secs_f64(), verdicts, run.stats())
     };
     let mut wholesale_secs = f64::MAX;
@@ -431,6 +432,7 @@ fn tableau_bench(out_path: &str, budget: u64) {
     // honestly clears `minimal`, which would make the smoke gate flap on
     // a knob that exists only to shrink the engine-comparison scenarios).
     let explain_budget = orm_bench::tableau_scenarios::BUDGET;
+    let explain_cx = orm_dl::ExecCx::with_steps(explain_budget);
     let exp = explain_battery(8);
     let exp_translation = translate(&exp.schema);
     let unsat_types: Vec<_> = exp
@@ -438,7 +440,7 @@ fn tableau_bench(out_path: &str, budget: u64) {
         .object_types()
         .map(|(ty, _)| ty)
         .filter(|&ty| {
-            exp_translation.type_satisfiable(ty, explain_budget) == orm_dl::DlOutcome::Unsat
+            exp_translation.type_satisfiable_cx(ty, &explain_cx) == orm_dl::SearchOutcome::Unsat
         })
         .collect();
     let unsat_roles: Vec<_> = exp
@@ -446,17 +448,17 @@ fn tableau_bench(out_path: &str, budget: u64) {
         .roles()
         .map(|(r, _)| r)
         .filter(|&r| {
-            exp_translation.role_satisfiable(r, explain_budget) == orm_dl::DlOutcome::Unsat
+            exp_translation.role_satisfiable_cx(r, &explain_cx) == orm_dl::SearchOutcome::Unsat
         })
         .collect();
     let unsat_elements = unsat_types.len() + unsat_roles.len();
     let extract = |t: &orm_dl::Translation| -> Vec<(orm_dl::Concept, orm_dl::Explanation)> {
         let mut out = Vec::new();
         for &ty in &unsat_types {
-            out.push((t.type_concept(ty), t.explain_type(ty, explain_budget)));
+            out.push((t.type_concept(ty), t.explain_type_cx(ty, &explain_cx)));
         }
         for &r in &unsat_roles {
-            out.push((t.role_concept(r), t.explain_role(r, explain_budget)));
+            out.push((t.role_concept(r), t.explain_role_cx(r, &explain_cx)));
         }
         out
     };
@@ -496,7 +498,7 @@ fn tableau_bench(out_path: &str, budget: u64) {
             .chain(unsat_roles.iter().map(|&r| exp_translation.role_concept(r)))
             .filter(|q| {
                 matches!(
-                    orm_dl::explain_unsat(tbox, q, explain_budget),
+                    orm_dl::explain_unsat_cx(tbox, q, &explain_cx),
                     orm_dl::Explanation::Unsat(_)
                 )
             })
@@ -521,14 +523,14 @@ fn tableau_bench(out_path: &str, budget: u64) {
                     continue;
                 };
                 sizes.push(core.len());
-                sound &= orm_dl::explain::core_refutes(tbox, core, query, explain_budget);
+                sound &= orm_dl::explain::core_refutes_cx(tbox, core, query, &explain_cx);
                 minimal &= core.minimal;
                 for i in 0..core.len() {
                     let mut weakened = core.axioms.clone();
                     weakened.remove(i);
                     minimal &=
-                        orm_dl::satisfiable(&tbox.restrict_to(&weakened), query, explain_budget)
-                            == orm_dl::DlOutcome::Sat;
+                        orm_dl::satisfiable_cx(&tbox.restrict_to(&weakened), query, &explain_cx)
+                            == orm_dl::SearchOutcome::Sat;
                 }
                 mapped &= !exp_translation.core_origins(core).is_empty();
             }
@@ -569,10 +571,10 @@ fn tableau_bench(out_path: &str, budget: u64) {
         |t: &orm_dl::Translation| -> Vec<(orm_dl::Concept, orm_dl::MusEnumeration)> {
             let mut out = Vec::new();
             for &ty in &unsat_types {
-                out.push((t.type_concept(ty), t.enumerate_type(ty, explain_budget, enum_limit)));
+                out.push((t.type_concept(ty), t.enumerate_type_cx(ty, &explain_cx, enum_limit)));
             }
             for &r in &unsat_roles {
-                out.push((t.role_concept(r), t.enumerate_role(r, explain_budget, enum_limit)));
+                out.push((t.role_concept(r), t.enumerate_role_cx(r, &explain_cx, enum_limit)));
             }
             out
         };
@@ -630,20 +632,20 @@ fn tableau_bench(out_path: &str, budget: u64) {
             complete &= family.complete && !family.truncated;
             for (i, core) in family.cores.iter().enumerate() {
                 certified &= core.minimal
-                    && orm_dl::explain::core_refutes(tbox, core, query, explain_budget);
+                    && orm_dl::explain::core_refutes_cx(tbox, core, query, &explain_cx);
                 for j in 0..core.len() {
                     let mut weakened = core.axioms.clone();
                     weakened.remove(j);
                     certified &=
-                        orm_dl::satisfiable(&tbox.restrict_to(&weakened), query, explain_budget)
-                            == orm_dl::DlOutcome::Sat;
+                        orm_dl::satisfiable_cx(&tbox.restrict_to(&weakened), query, &explain_cx)
+                            == orm_dl::SearchOutcome::Sat;
                 }
                 for other in &family.cores[i + 1..] {
                     certified &= !subset(&core.axioms, &other.axioms)
                         && !subset(&other.axioms, &core.axioms);
                 }
             }
-            let repairs = exp_translation.repairs_for(query, explain_budget, family);
+            let repairs = exp_translation.repairs_for_cx(query, &explain_cx, family);
             repairs_ok &= !repairs.is_empty();
             n_repairs += repairs.len();
             for repair in &repairs {
@@ -654,13 +656,13 @@ fn tableau_bench(out_path: &str, budget: u64) {
                         .all(|c| c.axioms.iter().any(|a| repair.axioms.contains(a)));
                 let keep: Vec<orm_dl::AxiomId> =
                     tbox.axiom_ids().filter(|a| !repair.axioms.contains(a)).collect();
-                repairs_ok &= orm_dl::satisfiable(&tbox.restrict_to(&keep), query, explain_budget)
-                    == orm_dl::DlOutcome::Sat;
+                repairs_ok &= orm_dl::satisfiable_cx(&tbox.restrict_to(&keep), query, &explain_cx)
+                    == orm_dl::SearchOutcome::Sat;
             }
             // Cached-vs-uncached: a direct engine enumeration of the
             // same query yields the same family as a set.
             if let orm_dl::MusEnumeration::Unsat(direct) =
-                orm_dl::enumerate_mus(tbox, query, explain_budget, enum_limit)
+                orm_dl::enumerate_mus_cx(tbox, query, &explain_cx, enum_limit)
             {
                 let canon = |f: &orm_dl::MusFamily| {
                     let mut cores: Vec<Vec<orm_dl::AxiomId>> =
@@ -686,15 +688,15 @@ fn tableau_bench(out_path: &str, budget: u64) {
     let pin_translation = translate(&pin.schema);
     let mut two_mus_pinned = false;
     for (ty, _) in pin.schema.object_types() {
-        if pin_translation.type_satisfiable(ty, explain_budget) != orm_dl::DlOutcome::Unsat {
+        if pin_translation.type_satisfiable_cx(ty, &explain_cx) != orm_dl::SearchOutcome::Unsat {
             continue;
         }
         if let orm_dl::MusEnumeration::Unsat(family) =
-            pin_translation.enumerate_type(ty, explain_budget, enum_limit)
+            pin_translation.enumerate_type_cx(ty, &explain_cx, enum_limit)
         {
-            let repairs = pin_translation.repairs_for(
+            let repairs = pin_translation.repairs_for_cx(
                 &pin_translation.type_concept(ty),
-                explain_budget,
+                &explain_cx,
                 &family,
             );
             two_mus_pinned = family.len() == 2
@@ -766,7 +768,7 @@ fn tableau_bench(out_path: &str, budget: u64) {
     let bulk_plan = orm_population::CheckPlan::compile(
         &bulk.workload.schema,
         &bulk_translation,
-        explain_budget,
+        &explain_cx,
         bulk_options,
     );
     let bulk_compile_secs = t0.elapsed().as_secs_f64();
@@ -809,7 +811,7 @@ fn tableau_bench(out_path: &str, budget: u64) {
     let large_plan = orm_population::CheckPlan::compile(
         &large.workload.schema,
         &translate(&large.workload.schema),
-        explain_budget,
+        &explain_cx,
         bulk_options,
     );
     let large_violations = large_plan.execute(&large.workload.schema, &large.workload.population);
@@ -870,8 +872,8 @@ fn tableau_bench(out_path: &str, budget: u64) {
     // the snapshot first and must answer the same workload from hits
     // alone (zero misses), verdict for verdict and core for core.
     let persist = translate(&exp.schema);
-    persist.type_sweep(&exp.schema, explain_budget);
-    persist.role_sweep(&exp.schema, explain_budget);
+    persist.type_sweep_cx(&exp.schema, &explain_cx);
+    persist.role_sweep_cx(&exp.schema, &explain_cx);
     extract(&persist);
     let blob = persist.snapshot();
     let snapshot_bytes = blob.len();
@@ -887,15 +889,15 @@ fn tableau_bench(out_path: &str, budget: u64) {
     for _ in 0..3 {
         let cold = translate(&exp.schema);
         let t0 = Instant::now();
-        let cold_types = cold.type_sweep(&exp.schema, explain_budget);
-        let cold_roles = cold.role_sweep(&exp.schema, explain_budget);
+        let cold_types = cold.type_sweep_cx(&exp.schema, &explain_cx);
+        let cold_roles = cold.role_sweep_cx(&exp.schema, &explain_cx);
         let cold_cores = extract(&cold);
         cold_reprove_secs = cold_reprove_secs.min(t0.elapsed().as_secs_f64());
         let warm = translate(&exp.schema);
         let t0 = Instant::now();
         let report = warm.restore(&blob).expect("clean snapshot restores");
-        let warm_types = warm.type_sweep(&exp.schema, explain_budget);
-        let warm_roles = warm.role_sweep(&exp.schema, explain_budget);
+        let warm_types = warm.type_sweep_cx(&exp.schema, &explain_cx);
+        let warm_roles = warm.role_sweep_cx(&exp.schema, &explain_cx);
         let warm_cores = extract(&warm);
         warm_restart_secs = warm_restart_secs.min(t0.elapsed().as_secs_f64());
         restored_entries = report.entries;
@@ -1033,16 +1035,16 @@ fn tableau_bench(out_path: &str, budget: u64) {
             SaturationOutcome::Sat(model) => {
                 sat_sat += 1;
                 sat_certified &= certify_witness(model);
-                sat_tableau_agree &= sat_translation.type_satisfiable(*ty, explain_budget)
-                    != orm_dl::DlOutcome::Unsat;
+                sat_tableau_agree &= sat_translation.type_satisfiable_cx(*ty, &explain_cx)
+                    != orm_dl::SearchOutcome::Unsat;
             }
             SaturationOutcome::Unsat(refutation) => {
                 sat_unsat += 1;
                 if refutation.beyond_dl {
                     sat_beyond += 1;
                 } else {
-                    sat_tableau_agree &= sat_translation.type_satisfiable(*ty, explain_budget)
-                        != orm_dl::DlOutcome::Sat;
+                    sat_tableau_agree &= sat_translation.type_satisfiable_cx(*ty, &explain_cx)
+                        != orm_dl::SearchOutcome::Sat;
                 }
             }
             _ => sat_unknown += 1,
@@ -1053,16 +1055,16 @@ fn tableau_bench(out_path: &str, budget: u64) {
             SaturationOutcome::Sat(model) => {
                 sat_sat += 1;
                 sat_certified &= certify_witness(model);
-                sat_tableau_agree &= sat_translation.role_satisfiable(*role, explain_budget)
-                    != orm_dl::DlOutcome::Unsat;
+                sat_tableau_agree &= sat_translation.role_satisfiable_cx(*role, &explain_cx)
+                    != orm_dl::SearchOutcome::Unsat;
             }
             SaturationOutcome::Unsat(refutation) => {
                 sat_unsat += 1;
                 if refutation.beyond_dl {
                     sat_beyond += 1;
                 } else {
-                    sat_tableau_agree &= sat_translation.role_satisfiable(*role, explain_budget)
-                        != orm_dl::DlOutcome::Sat;
+                    sat_tableau_agree &= sat_translation.role_satisfiable_cx(*role, &explain_cx)
+                        != orm_dl::SearchOutcome::Sat;
                 }
             }
             _ => sat_unknown += 1,
@@ -1098,8 +1100,8 @@ fn tableau_bench(out_path: &str, budget: u64) {
                 SaturationOutcome::Unsat(refutation) => {
                     refuted = true;
                     ok &= refutation.beyond_dl
-                        && pin_translation.role_satisfiable(role, explain_budget)
-                            != orm_dl::DlOutcome::Unsat;
+                        && pin_translation.role_satisfiable_cx(role, &explain_cx)
+                            != orm_dl::SearchOutcome::Unsat;
                 }
                 _ => ok = false,
             }
@@ -1571,8 +1573,9 @@ fn perf() {
 
             let t0 = Instant::now();
             let translation = translate(schema);
+            let cx = orm_dl::ExecCx::with_steps(100_000);
             for (role, _) in schema.roles() {
-                let _ = translation.role_satisfiable(role, 100_000);
+                let _ = translation.role_satisfiable_cx(role, &cx);
             }
             let dl = t0.elapsed();
 

@@ -34,7 +34,7 @@
 
 use orm_dl::concept::{Concept as C, RoleExpr};
 use orm_dl::tbox::TBox;
-use orm_dl::{CacheStats, DlOutcome, SatCache};
+use orm_dl::{CacheStats, ExecCx, SatCache, SearchOutcome};
 
 /// A named tableau workload: TBox, query, and the budget it needs.
 pub struct Scenario {
@@ -349,11 +349,11 @@ impl IncrementalEditScenario {
     /// Start a session: clone the base TBox and populate a fresh cache
     /// with one full battery pass — the untimed warmup both comparison
     /// modes share.
-    pub fn populate(&self, budget: u64) -> IncrementalEditRun {
+    pub fn populate(&self, cx: &ExecCx) -> IncrementalEditRun {
         let tbox = self.tbox.clone();
         let mut cache = SatCache::new();
         for q in &self.queries {
-            cache.satisfiable(&tbox, q, budget);
+            cache.satisfiable_cx(&tbox, q, cx);
         }
         IncrementalEditRun { tbox, cache }
     }
@@ -368,8 +368,8 @@ impl IncrementalEditRun {
         &mut self,
         scenario: &IncrementalEditScenario,
         delta_aware: bool,
-        budget: u64,
-    ) -> Vec<DlOutcome> {
+        cx: &ExecCx,
+    ) -> Vec<SearchOutcome> {
         let mut verdicts = Vec::with_capacity(scenario.edits.len() * scenario.queries.len());
         for (c, d) in &scenario.edits {
             self.tbox.gci(c.clone(), d.clone());
@@ -377,7 +377,7 @@ impl IncrementalEditRun {
                 self.cache.clear();
             }
             for q in &scenario.queries {
-                verdicts.push(self.cache.satisfiable(&self.tbox, q, budget));
+                verdicts.push(self.cache.satisfiable_cx(&self.tbox, q, cx));
             }
         }
         verdicts

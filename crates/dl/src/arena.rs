@@ -185,7 +185,7 @@ impl Arena {
     /// applied during the interning walk itself. `intern_negated(c)` is
     /// id-equal to `intern(&Concept::not(c.clone()))` for every `c`, but
     /// allocates no intermediate [`Concept`] — this is what lets
-    /// [`crate::cache::SatCache::subsumes`] key `sub ⊓ ¬sup` queries
+    /// [`crate::cache::SatCache::subsumes_cx`] key `sub ⊓ ¬sup` queries
     /// without cloning either concept tree.
     pub fn intern_negated(&mut self, c: &Concept) -> ConceptId {
         match c {

@@ -17,10 +17,10 @@
 //! deduplicated) becomes the key. Two queries that differ only in `⊓`
 //! argument order, duplication or nesting therefore share one cache line:
 //! `A ⊓ (B ⊓ A)` and `B ⊓ A` hit the same entry. Subsumption queries
-//! ([`SatCache::subsumes`]) build the key for `sub ⊓ ¬sup` directly from
+//! ([`SatCache::subsumes_cx`]) build the key for `sub ⊓ ¬sup` directly from
 //! interned ids ([`Arena::intern_negated`]) — no concept tree is cloned
 //! on the hot path, and the entry is shared with any
-//! [`SatCache::satisfiable`] call that spells the same root label set.
+//! [`SatCache::satisfiable_cx`] call that spells the same root label set.
 //!
 //! # Invalidation — delta-aware since PR 4
 //!
@@ -59,7 +59,8 @@
 //!
 //! # Budget semantics
 //!
-//! Definitive verdicts (`Sat`/`Unsat`) are budget-independent facts about
+//! The budget is the per-proof step budget of the caller's
+//! [`ExecCx`]. Definitive verdicts (`Sat`/`Unsat`) are budget-independent facts about
 //! the TBox, so a hit returns them even when the caller's budget is
 //! smaller than the one that proved them — the cache upgrades answers,
 //! never downgrades. An inconclusive attempt is remembered as
@@ -72,7 +73,8 @@
 //! ```
 //! use orm_dl::cache::SatCache;
 //! use orm_dl::concept::Concept;
-//! use orm_dl::tableau::DlOutcome;
+//! use orm_dl::exec::ExecCx;
+//! use orm_dl::tableau::SearchOutcome;
 //! use orm_dl::tbox::TBox;
 //!
 //! let mut tbox = TBox::new();
@@ -81,23 +83,24 @@
 //! tbox.gci(a.clone(), b.clone());
 //!
 //! let mut cache = SatCache::new();
+//! let cx = ExecCx::with_steps(100_000);
 //! let query = Concept::and([a.clone(), Concept::not(b.clone())]);
-//! assert_eq!(cache.satisfiable(&tbox, &query, 100_000), DlOutcome::Unsat);
+//! assert_eq!(cache.satisfiable_cx(&tbox, &query, &cx), SearchOutcome::Unsat);
 //! // Same root label set, different ⊓ spelling: a pure cache hit.
 //! let again = Concept::and([Concept::not(b.clone()), a.clone(), a.clone()]);
-//! assert_eq!(cache.satisfiable(&tbox, &again, 100_000), DlOutcome::Unsat);
+//! assert_eq!(cache.satisfiable_cx(&tbox, &again, &cx), SearchOutcome::Unsat);
 //! assert_eq!(cache.stats().hits, 1);
 //!
 //! // Adding an axiom no longer clears the cache: the Unsat entry is
 //! // monotone-safe and survives, so the re-query is another hit.
 //! tbox.gci(b.clone(), a.clone());
-//! assert_eq!(cache.satisfiable(&tbox, &query, 100_000), DlOutcome::Unsat);
+//! assert_eq!(cache.satisfiable_cx(&tbox, &query, &cx), SearchOutcome::Unsat);
 //! let stats = cache.stats();
 //! assert_eq!((stats.invalidations, stats.retained, stats.hits), (0, 1, 2));
 //!
 //! // Retracting one does: destructive edits clear wholesale.
 //! tbox.retract_gci(1);
-//! assert_eq!(cache.satisfiable(&tbox, &query, 100_000), DlOutcome::Unsat);
+//! assert_eq!(cache.satisfiable_cx(&tbox, &query, &cx), SearchOutcome::Unsat);
 //! assert_eq!(cache.stats().invalidations, 1);
 //! ```
 //!
@@ -118,13 +121,10 @@ use crate::arena::{splitmix, Arena, CKind, ConceptId};
 use crate::concept::{Concept, RoleExpr};
 use crate::exec::{ExecCx, Interrupt};
 use crate::explain::{
-    enumerate_mus, enumerate_mus_cx, enumerate_mus_seeded, enumerate_mus_seeded_cx, explain_unsat,
-    explain_unsat_cx, explain_unsat_seeded, explain_unsat_seeded_cx, Explanation, MusEnumeration,
-    MusFamily, UnsatCore,
+    enumerate_mus_cx, enumerate_mus_seeded_cx, explain_unsat_cx, explain_unsat_seeded_cx,
+    Explanation, MusEnumeration, MusFamily, UnsatCore,
 };
-use crate::tableau::{
-    satisfiable_with_witness, satisfiable_with_witness_cx, DlOutcome, SearchOutcome, Witness,
-};
+use crate::tableau::{satisfiable_with_witness_cx, subsumption, DlOutcome, SearchOutcome, Witness};
 use crate::tbox::{AdditionDelta, AxiomId, Delta, TBox};
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -295,7 +295,7 @@ enum Entry {
     Unknown { budget: u64 },
 }
 
-/// Memoizes [`crate::tableau::satisfiable`] verdicts per root label set for one TBox
+/// Memoizes [`crate::tableau::satisfiable_cx`] verdicts per root label set for one TBox
 /// state. See the [module docs](self) for key and budget semantics.
 #[derive(Clone, Debug, Default)]
 pub struct SatCache {
@@ -498,32 +498,35 @@ impl SatCache {
         }
     }
 
-    /// Cached [`crate::tableau::satisfiable`]: consult the verdict cache,
-    /// fall back to the tableau on a miss, and remember what it learned.
-    pub fn satisfiable(&mut self, tbox: &TBox, query: &Concept, budget: u64) -> DlOutcome {
-        self.validate(tbox);
-        let key = self.key(query);
-        if let Some(verdict) = self.probe(&key, budget) {
-            return verdict;
+    /// The recording rule for a run that reached no verdict: an
+    /// interrupted run (cancel or deadline) is counted and leaves **no**
+    /// entry — it says nothing about how many steps a later caller could
+    /// afford, so an entry could mask a provable verdict — while a genuine
+    /// budget starvation records `Unknown` at the starving budget.
+    fn record_undecided(
+        &mut self,
+        key: Box<[ConceptId]>,
+        interrupt: Option<Interrupt>,
+        budget: u64,
+    ) {
+        match interrupt {
+            Some(Interrupt::Cancelled) => self.stats.cancelled += 1,
+            Some(Interrupt::DeadlineExceeded) => self.stats.deadlined += 1,
+            None => self.record_unknown(key, budget),
         }
-        self.stats.misses += 1;
-        let (verdict, witness) = satisfiable_with_witness(tbox, query, budget);
-        self.record(key, verdict, budget, witness);
-        verdict
     }
 
-    /// Cached [`crate::tableau::satisfiable_cx`]: the context's per-proof
-    /// step budget plays the legacy `budget` role for probing (`Unknown`
-    /// entries answer only callers whose budget is no richer than the one
-    /// that starved), and **interrupted runs record nothing** — a
-    /// cancelled or deadlined proof is counted
-    /// ([`CacheStats::cancelled`] / [`CacheStats::deadlined`]) but leaves
-    /// the entry map untouched, so no `Unknown` ever masks a verdict a
-    /// later uncancelled caller could prove.
-    pub fn satisfiable_cx(&mut self, tbox: &TBox, query: &Concept, cx: &ExecCx) -> SearchOutcome {
-        self.validate(tbox);
-        let budget = cx.steps().unwrap_or(u64::MAX);
-        let key = self.key(query);
+    /// Answer `key` from the cache, or run `prove` and remember what it
+    /// learned — the one body behind [`SatCache::satisfiable_cx`] and
+    /// [`SatCache::subsumes_cx`]. `prove` gets the cache's arena so it can
+    /// rebuild the query from interned ids only on a miss.
+    fn decide(
+        &mut self,
+        key: Box<[ConceptId]>,
+        cx: &ExecCx,
+        prove: impl FnOnce(&Arena) -> (SearchOutcome, Option<Witness>),
+    ) -> SearchOutcome {
+        let budget = step_budget(cx);
         if let Some(verdict) = self.probe(&key, budget) {
             return match verdict {
                 DlOutcome::Sat => SearchOutcome::Sat,
@@ -532,31 +535,49 @@ impl SatCache {
             };
         }
         self.stats.misses += 1;
-        let (outcome, witness) = satisfiable_with_witness_cx(tbox, query, cx);
+        let (outcome, witness) = prove(&self.arena);
         match outcome {
             SearchOutcome::Sat => self.record(key, DlOutcome::Sat, budget, witness),
             SearchOutcome::Unsat => self.record(key, DlOutcome::Unsat, budget, None),
-            SearchOutcome::BudgetExhausted => {
-                self.record(key, DlOutcome::ResourceLimit, budget, None);
-            }
-            SearchOutcome::Cancelled => self.stats.cancelled += 1,
-            SearchOutcome::DeadlineExceeded => self.stats.deadlined += 1,
+            other => self.record_undecided(key, other.interrupt(), budget),
         }
         outcome
     }
 
-    /// Cached [`crate::explain::explain_unsat`]: minimal unsat cores are
-    /// stored **beside** their `Unsat` verdicts and computed at most once
-    /// per entry lifetime — a repeat explanation request is a hit, and a
-    /// plain [`SatCache::satisfiable`] on the same label set shares the
-    /// entry (the verdict half answers it). A cached `Sat` short-circuits
-    /// to [`Explanation::Satisfiable`] without any tableau run; a cached
-    /// core survives pure additions together with its entry (additions
-    /// change neither the core's axioms nor their restriction).
+    /// Cached [`crate::tableau::satisfiable_cx`]: consult the verdict
+    /// cache, fall back to the tableau on a miss, and remember what it
+    /// learned. The context's per-proof step budget decides which
+    /// `Unknown` entries answer (only those starved at a budget at least
+    /// as rich), and **interrupted runs record nothing** — a cancelled or
+    /// deadlined proof is counted ([`CacheStats::cancelled`] /
+    /// [`CacheStats::deadlined`]) but leaves the entry map untouched, so
+    /// no `Unknown` ever masks a verdict a later uncancelled caller could
+    /// prove.
+    pub fn satisfiable_cx(&mut self, tbox: &TBox, query: &Concept, cx: &ExecCx) -> SearchOutcome {
+        self.validate(tbox);
+        let key = self.key(query);
+        self.decide(key, cx, |_| satisfiable_with_witness_cx(tbox, query, cx))
+    }
+
+    /// Cached [`crate::explain::explain_unsat_seeded_cx`]: minimal unsat
+    /// cores are stored **beside** their `Unsat` verdicts and computed at
+    /// most once per entry lifetime — a repeat explanation request is a
+    /// hit, and a plain [`SatCache::satisfiable_cx`] on the same label set
+    /// shares the entry (the verdict half answers it). A cached `Sat`
+    /// short-circuits to [`Explanation::Satisfiable`] without any tableau
+    /// run; a cached core survives pure additions together with its entry
+    /// (additions change neither the core's axioms nor their restriction).
+    ///
+    /// On a miss the extraction runs under `cx`, probing `seed`'s
+    /// restriction first when it is non-empty (the seed only steers how a
+    /// missing core gets computed, never what gets stored). A genuine
+    /// budget starvation records `Unknown` at the context's step budget; an
+    /// interrupted run records nothing.
     ///
     /// ```
     /// use orm_dl::cache::SatCache;
     /// use orm_dl::concept::Concept;
+    /// use orm_dl::exec::ExecCx;
     /// use orm_dl::explain::Explanation;
     /// use orm_dl::tbox::TBox;
     ///
@@ -565,31 +586,24 @@ impl SatCache {
     /// let doom = tbox.gci(a.clone(), Concept::Bottom);
     ///
     /// let mut cache = SatCache::new();
-    /// let Explanation::Unsat(core) = cache.explain(&tbox, &a, 100_000) else {
+    /// let cx = ExecCx::with_steps(100_000);
+    /// let Explanation::Unsat(core) = cache.explain_seeded_cx(&tbox, &a, &cx, &[]) else {
     ///     panic!("A is doomed");
     /// };
     /// assert_eq!(core.axioms, vec![doom]);
     /// // Second request: answered from the stored core.
-    /// assert!(matches!(cache.explain(&tbox, &a, 100_000), Explanation::Unsat(_)));
+    /// assert!(matches!(cache.explain_seeded_cx(&tbox, &a, &cx, &[]), Explanation::Unsat(_)));
     /// assert_eq!((cache.stats().hits, cache.stats().misses), (1, 1));
     /// ```
-    pub fn explain(&mut self, tbox: &TBox, query: &Concept, budget: u64) -> Explanation {
-        self.explain_seeded(tbox, query, budget, &[])
-    }
-
-    /// [`SatCache::explain`] with a warm-start seed: on a cache miss the
-    /// extraction goes through [`explain_unsat_seeded`], probing `seed`'s
-    /// restriction before falling back to the full cold path. Caching
-    /// semantics are identical — the seed only steers how a missing core
-    /// gets computed, never what gets stored.
-    pub fn explain_seeded(
+    pub fn explain_seeded_cx(
         &mut self,
         tbox: &TBox,
         query: &Concept,
-        budget: u64,
+        cx: &ExecCx,
         seed: &[AxiomId],
     ) -> Explanation {
         self.validate(tbox);
+        let budget = step_budget(cx);
         let key = self.key(query);
         match self.entries.get(&key) {
             Some(Entry::Unsat { core: Some(core), .. }) => {
@@ -610,9 +624,9 @@ impl SatCache {
         }
         self.stats.misses += 1;
         let explanation = if seed.is_empty() {
-            explain_unsat(tbox, query, budget)
+            explain_unsat_cx(tbox, query, cx)
         } else {
-            explain_unsat_seeded(tbox, query, budget, seed)
+            explain_unsat_seeded_cx(tbox, query, cx, seed)
         };
         match &explanation {
             Explanation::Unsat(core) => {
@@ -636,72 +650,15 @@ impl SatCache {
             // an `Unsat { core: None }` entry (proved by a plain query,
             // possibly under a larger budget) — only the explanation
             // attempt failed, not the verdict.
-            Explanation::ResourceLimit => self.record_unknown(key, budget),
+            Explanation::ResourceLimit => self.record_undecided(key, cx.check().err(), budget),
         }
         explanation
     }
 
-    /// [`SatCache::explain_seeded`] under an execution context. Cached
-    /// verdicts answer without touching the context; a miss runs the
-    /// extraction with every probe inheriting `cx`. A genuine budget
-    /// starvation records `Unknown` at the context's step budget, while
-    /// an interrupted run (cancel or deadline) records **nothing** — a
-    /// deadline says nothing about how many steps a later caller could
-    /// afford, so such an entry could mask a provable verdict.
-    pub fn explain_seeded_cx(
-        &mut self,
-        tbox: &TBox,
-        query: &Concept,
-        cx: &ExecCx,
-        seed: &[AxiomId],
-    ) -> Explanation {
-        self.validate(tbox);
-        let budget = cx.steps().unwrap_or(u64::MAX);
-        let key = self.key(query);
-        match self.entries.get(&key) {
-            Some(Entry::Unsat { core: Some(core), .. }) => {
-                self.stats.hits += 1;
-                return Explanation::Unsat(core.clone());
-            }
-            Some(Entry::Sat { .. }) => {
-                self.stats.hits += 1;
-                return Explanation::Satisfiable;
-            }
-            Some(Entry::Unknown { budget: tried }) if *tried >= budget => {
-                self.stats.hits += 1;
-                return Explanation::ResourceLimit;
-            }
-            _ => {}
-        }
-        self.stats.misses += 1;
-        let explanation = if seed.is_empty() {
-            explain_unsat_cx(tbox, query, cx)
-        } else {
-            explain_unsat_seeded_cx(tbox, query, cx, seed)
-        };
-        match &explanation {
-            Explanation::Unsat(core) => {
-                let family = match self.entries.remove(&key) {
-                    Some(Entry::Unsat { family, .. }) => family,
-                    _ => None,
-                };
-                self.entries.insert(key, Entry::Unsat { core: Some(core.clone()), family });
-            }
-            Explanation::Satisfiable => {
-                self.entries.insert(key, Entry::Sat { witness: None });
-            }
-            Explanation::ResourceLimit => match cx.check() {
-                Err(Interrupt::Cancelled) => self.stats.cancelled += 1,
-                Err(Interrupt::DeadlineExceeded) => self.stats.deadlined += 1,
-                Ok(()) => self.record_unknown(key, budget),
-            },
-        }
-        explanation
-    }
-
-    /// Cached [`enumerate_mus`]: the full MUS family is stored **beside**
-    /// the `Unsat` verdict (and its single core), so a repeat enumeration
-    /// is a hit. Answering rules for a cached family:
+    /// Cached [`crate::explain::enumerate_mus_seeded_cx`]: the full MUS
+    /// family is stored **beside** the `Unsat` verdict (and its single
+    /// core), so a repeat enumeration is a hit. Answering rules for a
+    /// cached family:
     ///
     /// * a **complete** family answers any `limit ≥ len` verbatim, and a
     ///   `limit < len` request gets the first `limit` cores with
@@ -714,29 +671,23 @@ impl SatCache {
     ///
     /// A cached `Sat` short-circuits to [`MusEnumeration::Satisfiable`];
     /// a family computed here also fills the entry's single-core slot, so
-    /// later [`SatCache::explain`] calls hit.
-    pub fn enumerate(
+    /// later [`SatCache::explain_seeded_cx`] calls hit. On a miss the
+    /// extraction inherits `cx` (so enumeration stops cleanly mid-family)
+    /// and is warm-started by `seed`; budget starvation records `Unknown`
+    /// at the context's step budget while an interrupted run records
+    /// nothing. A family truncated by an interrupt still caches its
+    /// certified cores — they remain valid MUSes and warm-start the next,
+    /// richer attempt.
+    pub fn enumerate_seeded_cx(
         &mut self,
         tbox: &TBox,
         query: &Concept,
-        budget: u64,
-        limit: usize,
-    ) -> MusEnumeration {
-        self.enumerate_seeded(tbox, query, budget, limit, &[])
-    }
-
-    /// [`SatCache::enumerate`] with a warm-start seed for the first
-    /// extraction on a miss (the [`enumerate_mus_seeded`] path). The seed
-    /// only steers the search, never what gets stored or answered.
-    pub fn enumerate_seeded(
-        &mut self,
-        tbox: &TBox,
-        query: &Concept,
-        budget: u64,
+        cx: &ExecCx,
         limit: usize,
         seed: &[AxiomId],
     ) -> MusEnumeration {
         self.validate(tbox);
+        let budget = step_budget(cx);
         let limit = limit.max(1);
         let key = self.key(query);
         match self.entries.get(&key) {
@@ -781,87 +732,6 @@ impl SatCache {
         warm.sort_unstable();
         warm.dedup();
         let enumeration = if warm.is_empty() {
-            enumerate_mus(tbox, query, budget, limit)
-        } else {
-            enumerate_mus_seeded(tbox, query, budget, limit, &warm)
-        };
-        match &enumeration {
-            MusEnumeration::Unsat(family) => {
-                let core = match self.entries.remove(&key) {
-                    Some(Entry::Unsat { core: Some(core), .. }) => Some(core),
-                    _ => family.cores.first().cloned(),
-                };
-                self.entries.insert(key, Entry::Unsat { core, family: Some(family.clone()) });
-            }
-            MusEnumeration::Satisfiable => {
-                self.entries.insert(key, Entry::Sat { witness: None });
-            }
-            // Never downgrade a certified Unsat verdict (or a
-            // richer-budget Unknown) because one enumeration attempt
-            // starved.
-            MusEnumeration::ResourceLimit => self.record_unknown(key, budget),
-        }
-        enumeration
-    }
-
-    /// [`SatCache::enumerate_seeded`] under an execution context: same
-    /// answering rules for cached families, with the extraction on a miss
-    /// inheriting `cx` so enumeration stops cleanly mid-family. Budget
-    /// starvation records `Unknown` at the context's step budget; an
-    /// interrupted run records nothing (see
-    /// [`SatCache::explain_seeded_cx`]). A family truncated by an
-    /// interrupt still caches its certified cores — they remain valid
-    /// MUSes and warm-start the next, richer attempt.
-    pub fn enumerate_seeded_cx(
-        &mut self,
-        tbox: &TBox,
-        query: &Concept,
-        cx: &ExecCx,
-        limit: usize,
-        seed: &[AxiomId],
-    ) -> MusEnumeration {
-        self.validate(tbox);
-        let budget = cx.steps().unwrap_or(u64::MAX);
-        let limit = limit.max(1);
-        let key = self.key(query);
-        match self.entries.get(&key) {
-            Some(Entry::Sat { .. }) => {
-                self.stats.hits += 1;
-                return MusEnumeration::Satisfiable;
-            }
-            Some(Entry::Unsat { family: Some(family), .. }) => {
-                if family.complete && family.cores.len() <= limit {
-                    self.stats.hits += 1;
-                    return MusEnumeration::Unsat(family.clone());
-                }
-                if family.cores.len() >= limit {
-                    self.stats.hits += 1;
-                    return MusEnumeration::Unsat(MusFamily {
-                        cores: family.cores[..limit].to_vec(),
-                        truncated: true,
-                        complete: false,
-                    });
-                }
-            }
-            Some(Entry::Unknown { budget: tried }) if *tried >= budget => {
-                self.stats.hits += 1;
-                return MusEnumeration::ResourceLimit;
-            }
-            _ => {}
-        }
-        self.stats.misses += 1;
-        let mut warm: Vec<AxiomId> = seed.to_vec();
-        if let Some(Entry::Unsat { core, family }) = self.entries.get(&key) {
-            if let Some(core) = core {
-                warm.extend(core.axioms.iter().copied());
-            }
-            if let Some(family) = family {
-                warm.extend(family.cores.iter().flat_map(|c| c.axioms.iter().copied()));
-            }
-        }
-        warm.sort_unstable();
-        warm.dedup();
-        let enumeration = if warm.is_empty() {
             enumerate_mus_cx(tbox, query, cx, limit)
         } else {
             enumerate_mus_seeded_cx(tbox, query, cx, limit, &warm)
@@ -877,57 +747,25 @@ impl SatCache {
             MusEnumeration::Satisfiable => {
                 self.entries.insert(key, Entry::Sat { witness: None });
             }
-            MusEnumeration::ResourceLimit => match cx.check() {
-                Err(Interrupt::Cancelled) => self.stats.cancelled += 1,
-                Err(Interrupt::DeadlineExceeded) => self.stats.deadlined += 1,
-                Ok(()) => self.record_unknown(key, budget),
-            },
+            // Never downgrade a certified Unsat verdict (or a
+            // richer-budget Unknown) because one enumeration attempt
+            // starved.
+            MusEnumeration::ResourceLimit => self.record_undecided(key, cx.check().err(), budget),
         }
         enumeration
     }
 
-    /// Cached [`crate::tableau::subsumes`]: the standard reduction of
+    /// Cached [`crate::tableau::subsumes_cx`]: the standard reduction of
     /// `sub ⊑ sup` to unsatisfiability of `sub ⊓ ¬sup`, sharing entries
-    /// with [`SatCache::satisfiable`] calls on the same root label set.
+    /// with [`SatCache::satisfiable_cx`] calls on the same root label set.
+    /// `Ok(Some(..))` on a certain answer (cached or proved), `Ok(None)`
+    /// when the per-proof step budget ran out, `Err` when the context was
+    /// interrupted — interrupted runs record nothing.
     ///
     /// The key is built from interned ids (`sub` interned as-is, `sup`
     /// through [`Arena::intern_negated`]) — no `Concept` tree is cloned
     /// per call; the query concept is only reconstructed on a miss, where
     /// the tableau run dominates the allocation anyway.
-    pub fn subsumes(
-        &mut self,
-        tbox: &TBox,
-        sup: &Concept,
-        sub: &Concept,
-        budget: u64,
-    ) -> Option<bool> {
-        self.validate(tbox);
-        let sub_id = self.arena.intern(sub);
-        let neg_sup_id = self.arena.intern_negated(sup);
-        let key = self.pair_key(sub_id, neg_sup_id);
-        let verdict = match self.probe(&key, budget) {
-            Some(verdict) => verdict,
-            None => {
-                self.stats.misses += 1;
-                let query =
-                    Concept::and([self.arena.resolve(sub_id), self.arena.resolve(neg_sup_id)]);
-                let (verdict, witness) = satisfiable_with_witness(tbox, &query, budget);
-                self.record(key, verdict, budget, witness);
-                verdict
-            }
-        };
-        match verdict {
-            DlOutcome::Unsat => Some(true),
-            DlOutcome::Sat => Some(false),
-            DlOutcome::ResourceLimit => None,
-        }
-    }
-
-    /// Cached [`crate::tableau::subsumes_cx`], sharing entries with the
-    /// other entry points on the same root label set: `Ok(Some(..))` on a
-    /// certain answer (cached or proved), `Ok(None)` when the per-proof
-    /// step budget ran out, `Err` when the context was interrupted —
-    /// interrupted runs record nothing (see [`SatCache::satisfiable_cx`]).
     pub fn subsumes_cx(
         &mut self,
         tbox: &TBox,
@@ -936,47 +774,20 @@ impl SatCache {
         cx: &ExecCx,
     ) -> Result<Option<bool>, Interrupt> {
         self.validate(tbox);
-        let budget = cx.steps().unwrap_or(u64::MAX);
         let sub_id = self.arena.intern(sub);
         let neg_sup_id = self.arena.intern_negated(sup);
         let key = self.pair_key(sub_id, neg_sup_id);
-        let verdict = match self.probe(&key, budget) {
-            Some(verdict) => verdict,
-            None => {
-                self.stats.misses += 1;
-                let query =
-                    Concept::and([self.arena.resolve(sub_id), self.arena.resolve(neg_sup_id)]);
-                let (outcome, witness) = satisfiable_with_witness_cx(tbox, &query, cx);
-                match outcome {
-                    SearchOutcome::Sat => {
-                        self.record(key, DlOutcome::Sat, budget, witness);
-                        DlOutcome::Sat
-                    }
-                    SearchOutcome::Unsat => {
-                        self.record(key, DlOutcome::Unsat, budget, None);
-                        DlOutcome::Unsat
-                    }
-                    SearchOutcome::BudgetExhausted => {
-                        self.record(key, DlOutcome::ResourceLimit, budget, None);
-                        DlOutcome::ResourceLimit
-                    }
-                    SearchOutcome::Cancelled => {
-                        self.stats.cancelled += 1;
-                        return Err(Interrupt::Cancelled);
-                    }
-                    SearchOutcome::DeadlineExceeded => {
-                        self.stats.deadlined += 1;
-                        return Err(Interrupt::DeadlineExceeded);
-                    }
-                }
-            }
-        };
-        Ok(match verdict {
-            DlOutcome::Unsat => Some(true),
-            DlOutcome::Sat => Some(false),
-            DlOutcome::ResourceLimit => None,
-        })
+        subsumption(self.decide(key, cx, |arena| {
+            let query = Concept::and([arena.resolve(sub_id), arena.resolve(neg_sup_id)]);
+            satisfiable_with_witness_cx(tbox, &query, cx)
+        }))
     }
+}
+
+/// The per-proof step budget of `cx` as the `Unknown { budget }` stamp
+/// (unmetered contexts stamp `u64::MAX`).
+fn step_budget(cx: &ExecCx) -> u64 {
+    cx.steps().unwrap_or(u64::MAX)
 }
 
 /// Number of shards a [`SatShards::new`] cache stripes over — comfortably
@@ -1004,7 +815,8 @@ pub const DEFAULT_SHARDS: usize = 16;
 /// ```
 /// use orm_dl::cache::SatShards;
 /// use orm_dl::concept::Concept;
-/// use orm_dl::tableau::DlOutcome;
+/// use orm_dl::exec::ExecCx;
+/// use orm_dl::tableau::SearchOutcome;
 /// use orm_dl::tbox::TBox;
 ///
 /// let mut tbox = TBox::new();
@@ -1013,12 +825,13 @@ pub const DEFAULT_SHARDS: usize = 16;
 /// tbox.gci(a.clone(), b.clone());
 ///
 /// let shards = SatShards::new();
+/// let cx = ExecCx::with_steps(100_000);
 /// // `&shards` suffices: shard locks are interior.
-/// assert_eq!(shards.subsumes(&tbox, &b, &a, 100_000), Some(true));
+/// assert_eq!(shards.subsumes_cx(&tbox, &b, &a, &cx), Ok(Some(true)));
 /// // Same label set spelled as a satisfiability query: routed to the
 /// // same shard, answered from the same entry.
 /// let q = Concept::and([a.clone(), Concept::not(b.clone())]);
-/// assert_eq!(shards.satisfiable(&tbox, &q, 100_000), DlOutcome::Unsat);
+/// assert_eq!(shards.satisfiable_cx(&tbox, &q, &cx), SearchOutcome::Unsat);
 /// let stats = shards.stats();
 /// assert_eq!((stats.misses, stats.hits), (1, 1));
 /// ```
@@ -1026,7 +839,7 @@ pub const DEFAULT_SHARDS: usize = 16;
 pub struct SatShards {
     shards: Box<[Mutex<SatCache>]>,
     /// Union of certified unsat-core axioms, shared across shards as the
-    /// warm-start seed for later extractions (see [`SatShards::explain`]).
+    /// warm-start seed for later extractions (see [`SatShards::explain_cx`]).
     seed_pool: Mutex<SeedPool>,
 }
 
@@ -1077,18 +890,6 @@ impl SatShards {
         &self.shards[(route % self.shards.len() as u64) as usize]
     }
 
-    /// Cached [`crate::tableau::satisfiable`] through the owning shard (see
-    /// [`SatCache::satisfiable`] for key/budget semantics).
-    pub fn satisfiable(&self, tbox: &TBox, query: &Concept, budget: u64) -> DlOutcome {
-        self.shard(route_satisfiable(query)).lock().satisfiable(tbox, query, budget)
-    }
-
-    /// Cached subsumption through the owning shard (see
-    /// [`SatCache::subsumes`]).
-    pub fn subsumes(&self, tbox: &TBox, sup: &Concept, sub: &Concept, budget: u64) -> Option<bool> {
-        self.shard(route_subsumes(sup, sub)).lock().subsumes(tbox, sup, sub, budget)
-    }
-
     /// Cached [`crate::tableau::satisfiable_cx`] through the owning shard
     /// (see [`SatCache::satisfiable_cx`] — interrupted runs record no
     /// entry). The shard lock is held across lookup and proof, so even
@@ -1110,115 +911,35 @@ impl SatShards {
     }
 
     /// Cached unsat-core extraction through the owning shard (see
-    /// [`SatCache::explain`]); routed like [`SatShards::satisfiable`], so
-    /// a verdict proved by either entry point answers the other.
+    /// [`SatCache::explain_seeded_cx`] — interrupted runs record no
+    /// entry); routed like [`SatShards::satisfiable_cx`], so a verdict
+    /// proved by either entry point answers the other.
     ///
     /// Extractions **warm-start each other across shards**: every
-    /// certified core's axioms join a shared seed pool (keyed on the
-    /// exact [`TBox::cache_stamp`]), and each later miss first probes the
-    /// pooled axioms' restriction instead of running the cold full-TBox
-    /// tableau (see [`explain_unsat_seeded`]). Soundness is untouched —
-    /// seeds only steer the search; every returned core is still
-    /// certified by its own tableau runs.
-    pub fn explain(&self, tbox: &TBox, query: &Concept, budget: u64) -> Explanation {
-        let stamp = tbox.cache_stamp();
-        let seed: Vec<AxiomId> = {
-            let mut pool = self.seed_pool.lock();
-            if pool.stamp != stamp {
-                pool.stamp = stamp;
-                pool.axioms.clear();
-            }
-            pool.axioms.clone()
-        };
-        let explanation =
-            self.shard(route_satisfiable(query)).lock().explain_seeded(tbox, query, budget, &seed);
-        if let Explanation::Unsat(core) = &explanation {
-            let mut pool = self.seed_pool.lock();
-            if pool.stamp == stamp && pool.axioms.len() < SEED_POOL_CAP {
-                pool.axioms.extend(core.axioms.iter().copied());
-                pool.axioms.sort_unstable();
-                pool.axioms.dedup();
-                pool.axioms.truncate(SEED_POOL_CAP);
-            }
-        }
-        explanation
+    /// certified core's axioms join a shared seed pool (keyed on the exact
+    /// [`TBox::cache_stamp`]), and each later miss first probes the pooled
+    /// axioms' restriction instead of running the cold full-TBox tableau.
+    /// Soundness is untouched — seeds only steer the search; every returned core is
+    /// still certified by its own tableau runs.
+    pub fn explain_cx(&self, tbox: &TBox, query: &Concept, cx: &ExecCx) -> Explanation {
+        self.with_seed_pool(
+            tbox,
+            query,
+            |shard, seed| shard.explain_seeded_cx(tbox, query, cx, seed),
+            |explanation| explanation.core().map_or(&[], std::slice::from_ref),
+        )
     }
 
     /// Cached MUS-family enumeration through the owning shard (see
-    /// [`SatCache::enumerate`]); routed like [`SatShards::satisfiable`],
-    /// so verdicts, single cores and families all share one entry.
-    ///
-    /// Enumerations join the same cross-shard **seed pool** as
-    /// [`SatShards::explain`]: the pooled certified axioms warm-start the
-    /// first extraction of each enumeration, and every enumerated core's
-    /// axioms feed back into the pool — the reuse that keeps all-MUS
-    /// enumeration within the same cost envelope as single-core
-    /// extraction on multi-element diagnosis sweeps.
-    pub fn enumerate(
-        &self,
-        tbox: &TBox,
-        query: &Concept,
-        budget: u64,
-        limit: usize,
-    ) -> MusEnumeration {
-        let stamp = tbox.cache_stamp();
-        let seed: Vec<AxiomId> = {
-            let mut pool = self.seed_pool.lock();
-            if pool.stamp != stamp {
-                pool.stamp = stamp;
-                pool.axioms.clear();
-            }
-            pool.axioms.clone()
-        };
-        let enumeration = self
-            .shard(route_satisfiable(query))
-            .lock()
-            .enumerate_seeded(tbox, query, budget, limit, &seed);
-        if let MusEnumeration::Unsat(family) = &enumeration {
-            let mut pool = self.seed_pool.lock();
-            if pool.stamp == stamp && pool.axioms.len() < SEED_POOL_CAP {
-                pool.axioms.extend(family.cores.iter().flat_map(|c| c.axioms.iter().copied()));
-                pool.axioms.sort_unstable();
-                pool.axioms.dedup();
-                pool.axioms.truncate(SEED_POOL_CAP);
-            }
-        }
-        enumeration
-    }
-
-    /// Cached unsat-core extraction under an execution context (see
-    /// [`SatCache::explain_seeded_cx`] — interrupted runs record no
-    /// entry). Shares the cross-shard seed pool with
-    /// [`SatShards::explain`]; pool updates only happen for certified
-    /// cores, so an interrupted extraction never pollutes the pool.
-    pub fn explain_cx(&self, tbox: &TBox, query: &Concept, cx: &ExecCx) -> Explanation {
-        let stamp = tbox.cache_stamp();
-        let seed: Vec<AxiomId> = {
-            let mut pool = self.seed_pool.lock();
-            if pool.stamp != stamp {
-                pool.stamp = stamp;
-                pool.axioms.clear();
-            }
-            pool.axioms.clone()
-        };
-        let explanation =
-            self.shard(route_satisfiable(query)).lock().explain_seeded_cx(tbox, query, cx, &seed);
-        if let Explanation::Unsat(core) = &explanation {
-            let mut pool = self.seed_pool.lock();
-            if pool.stamp == stamp && pool.axioms.len() < SEED_POOL_CAP {
-                pool.axioms.extend(core.axioms.iter().copied());
-                pool.axioms.sort_unstable();
-                pool.axioms.dedup();
-                pool.axioms.truncate(SEED_POOL_CAP);
-            }
-        }
-        explanation
-    }
-
-    /// Cached MUS-family enumeration under an execution context (see
-    /// [`SatCache::enumerate_seeded_cx`]). Certified cores from a family
-    /// truncated by an interrupt still feed the seed pool — they are
-    /// valid MUSes and warm-start the retry under a richer context.
+    /// [`SatCache::enumerate_seeded_cx`]); routed like
+    /// [`SatShards::satisfiable_cx`], so verdicts, single cores and
+    /// families all share one entry. Enumerations join the same
+    /// cross-shard seed pool as [`SatShards::explain_cx`] — the reuse that
+    /// keeps all-MUS enumeration within the same cost envelope as
+    /// single-core extraction on multi-element diagnosis sweeps. Certified
+    /// cores from a family truncated by an interrupt still feed the pool —
+    /// they are valid MUSes and warm-start the retry under a richer
+    /// context.
     pub fn enumerate_cx(
         &self,
         tbox: &TBox,
@@ -1226,6 +947,30 @@ impl SatShards {
         cx: &ExecCx,
         limit: usize,
     ) -> MusEnumeration {
+        self.with_seed_pool(
+            tbox,
+            query,
+            |shard, seed| shard.enumerate_seeded_cx(tbox, query, cx, limit, seed),
+            |enumeration| enumeration.family().map_or(&[], |family| &family.cores),
+        )
+    }
+
+    /// The warm start shared by [`SatShards::explain_cx`] and
+    /// [`SatShards::enumerate_cx`]: run `extract` on the owning shard with
+    /// the pooled certified core axioms of `tbox`'s exact state (keyed on
+    /// [`TBox::cache_stamp`]) as its seed, so each later miss first probes
+    /// the pooled axioms' restriction instead of running the cold
+    /// full-TBox tableau; then feed the axioms of every core `certified`
+    /// reads off the result back into the pool. Pool updates only happen
+    /// for certified cores, so an interrupted extraction never pollutes
+    /// the pool.
+    fn with_seed_pool<T>(
+        &self,
+        tbox: &TBox,
+        query: &Concept,
+        extract: impl FnOnce(&mut SatCache, &[AxiomId]) -> T,
+        certified: fn(&T) -> &[UnsatCore],
+    ) -> T {
         let stamp = tbox.cache_stamp();
         let seed: Vec<AxiomId> = {
             let mut pool = self.seed_pool.lock();
@@ -1235,20 +980,18 @@ impl SatShards {
             }
             pool.axioms.clone()
         };
-        let enumeration = self
-            .shard(route_satisfiable(query))
-            .lock()
-            .enumerate_seeded_cx(tbox, query, cx, limit, &seed);
-        if let MusEnumeration::Unsat(family) = &enumeration {
+        let result = extract(&mut self.shard(route_satisfiable(query)).lock(), &seed);
+        let cores = certified(&result);
+        if !cores.is_empty() {
             let mut pool = self.seed_pool.lock();
             if pool.stamp == stamp && pool.axioms.len() < SEED_POOL_CAP {
-                pool.axioms.extend(family.cores.iter().flat_map(|c| c.axioms.iter().copied()));
+                pool.axioms.extend(cores.iter().flat_map(|c| c.axioms.iter().copied()));
                 pool.axioms.sort_unstable();
                 pool.axioms.dedup();
                 pool.axioms.truncate(SEED_POOL_CAP);
             }
         }
-        enumeration
+        result
     }
 
     /// Counters aggregated across all shards.
@@ -1412,6 +1155,11 @@ mod tests {
     use super::*;
     use crate::concept::RoleExpr;
 
+    /// A context granting every proof `n` steps.
+    fn steps(n: u64) -> ExecCx {
+        ExecCx::with_steps(n)
+    }
+
     fn ab_tbox() -> (TBox, Concept, Concept) {
         let mut t = TBox::new();
         let a = Concept::Atomic(t.atom("A"));
@@ -1425,9 +1173,9 @@ mod tests {
         let (t, a, b) = ab_tbox();
         let mut cache = SatCache::new();
         let q = Concept::and([a.clone(), Concept::not(b.clone())]);
-        assert_eq!(cache.satisfiable(&t, &q, 100_000), DlOutcome::Unsat);
+        assert_eq!(cache.satisfiable_cx(&t, &q, &steps(100_000)), SearchOutcome::Unsat);
         for _ in 0..10 {
-            assert_eq!(cache.satisfiable(&t, &q, 100_000), DlOutcome::Unsat);
+            assert_eq!(cache.satisfiable_cx(&t, &q, &steps(100_000)), SearchOutcome::Unsat);
         }
         assert_eq!(cache.stats().misses, 1);
         assert_eq!(cache.stats().hits, 10);
@@ -1439,8 +1187,8 @@ mod tests {
         let mut cache = SatCache::new();
         let q1 = Concept::and([a.clone(), b.clone()]);
         let q2 = Concept::and([b.clone(), a.clone(), a.clone()]);
-        assert_eq!(cache.satisfiable(&t, &q1, 100_000), DlOutcome::Sat);
-        assert_eq!(cache.satisfiable(&t, &q2, 100_000), DlOutcome::Sat);
+        assert_eq!(cache.satisfiable_cx(&t, &q1, &steps(100_000)), SearchOutcome::Sat);
+        assert_eq!(cache.satisfiable_cx(&t, &q2, &steps(100_000)), SearchOutcome::Sat);
         assert_eq!(cache.stats().misses, 1);
         assert_eq!(cache.stats().hits, 1);
     }
@@ -1453,9 +1201,9 @@ mod tests {
         let (mut t, a, b) = ab_tbox();
         let mut cache = SatCache::new();
         let q = Concept::and([a.clone(), Concept::not(b.clone())]);
-        assert_eq!(cache.satisfiable(&t, &q, 100_000), DlOutcome::Unsat);
+        assert_eq!(cache.satisfiable_cx(&t, &q, &steps(100_000)), SearchOutcome::Unsat);
         t.gci(b.clone(), a.clone());
-        assert_eq!(cache.satisfiable(&t, &q, 100_000), DlOutcome::Unsat);
+        assert_eq!(cache.satisfiable_cx(&t, &q, &steps(100_000)), SearchOutcome::Unsat);
         let stats = cache.stats();
         assert_eq!(stats.invalidations, 0, "addition cleared the cache wholesale");
         assert_eq!(stats.retained, 1);
@@ -1465,7 +1213,7 @@ mod tests {
         let s = RoleExpr::direct(t.role("S"));
         t.role_inclusion(r, s);
         t.disjoint(r, s);
-        assert_eq!(cache.satisfiable(&t, &q, 100_000), DlOutcome::Unsat);
+        assert_eq!(cache.satisfiable_cx(&t, &q, &steps(100_000)), SearchOutcome::Unsat);
         let stats = cache.stats();
         assert_eq!(stats.invalidations, 0);
         assert_eq!(stats.retained, 2, "one per addition-delta the entry lived through");
@@ -1481,16 +1229,16 @@ mod tests {
         let (mut t, a, b) = ab_tbox();
         let c = Concept::Atomic(t.atom("C"));
         let mut cache = SatCache::new();
-        assert_eq!(cache.satisfiable(&t, &a, 100_000), DlOutcome::Sat);
+        assert_eq!(cache.satisfiable_cx(&t, &a, &steps(100_000)), SearchOutcome::Sat);
         // `C ⊑ B` leaves the witness untouched (no node mentions C).
         t.gci(c.clone(), b.clone());
-        assert_eq!(cache.satisfiable(&t, &a, 100_000), DlOutcome::Sat);
+        assert_eq!(cache.satisfiable_cx(&t, &a, &steps(100_000)), SearchOutcome::Sat);
         let stats = cache.stats();
         assert_eq!((stats.invalidations, stats.revalidated, stats.hits), (0, 1, 1));
         // `A ⊑ ⊥` is violated by the witness (its root carries A): the
         // entry is evicted and the re-query re-proves — now Unsat.
         t.gci(a.clone(), Concept::Bottom);
-        assert_eq!(cache.satisfiable(&t, &a, 100_000), DlOutcome::Unsat);
+        assert_eq!(cache.satisfiable_cx(&t, &a, &steps(100_000)), SearchOutcome::Unsat);
         let stats = cache.stats();
         assert_eq!(stats.invalidations, 0);
         assert_eq!(stats.evicted, 1);
@@ -1505,12 +1253,12 @@ mod tests {
         let (mut t, a, b) = ab_tbox();
         let mut cache = SatCache::new();
         let q = Concept::and([a.clone(), Concept::not(b.clone())]);
-        assert_eq!(cache.satisfiable(&t, &q, 100_000), DlOutcome::Unsat);
+        assert_eq!(cache.satisfiable_cx(&t, &q, &steps(100_000)), SearchOutcome::Unsat);
         let retracted = t.retract_gci(0);
         assert_eq!(retracted, (a.clone(), b.clone()));
         // Without A ⊑ B the query is satisfiable — a replayed entry would
         // be observably wrong.
-        assert_eq!(cache.satisfiable(&t, &q, 100_000), DlOutcome::Sat);
+        assert_eq!(cache.satisfiable_cx(&t, &q, &steps(100_000)), SearchOutcome::Sat);
         let stats = cache.stats();
         assert_eq!(stats.invalidations, 1);
         assert_eq!((stats.retained, stats.revalidated), (0, 0));
@@ -1527,11 +1275,11 @@ mod tests {
         let b = Concept::Atomic(t.atom("B"));
         t.gci(a.clone(), Concept::Exists(r, Box::new(a.clone())));
         let mut cache = SatCache::new();
-        assert_eq!(cache.satisfiable(&t, &a, 1), DlOutcome::ResourceLimit);
+        assert_eq!(cache.satisfiable_cx(&t, &a, &steps(1)), SearchOutcome::BudgetExhausted);
         t.gci(b.clone(), Concept::Top);
         // The entry is gone: the query re-runs rather than replaying the
         // stale Unknown.
-        assert_eq!(cache.satisfiable(&t, &a, 1), DlOutcome::ResourceLimit);
+        assert_eq!(cache.satisfiable_cx(&t, &a, &steps(1)), SearchOutcome::BudgetExhausted);
         let stats = cache.stats();
         assert_eq!(stats.evicted, 1);
         assert_eq!(stats.misses, 2);
@@ -1545,10 +1293,10 @@ mod tests {
         let (mut t, a, b) = ab_tbox();
         let mut cache = SatCache::new();
         let q = Concept::and([a.clone(), Concept::not(b.clone())]);
-        assert_eq!(cache.satisfiable(&t, &q, 100_000), DlOutcome::Unsat);
+        assert_eq!(cache.satisfiable_cx(&t, &q, &steps(100_000)), SearchOutcome::Unsat);
         t.atom("Fresh");
         t.role("FreshRole");
-        assert_eq!(cache.satisfiable(&t, &q, 100_000), DlOutcome::Unsat);
+        assert_eq!(cache.satisfiable_cx(&t, &q, &steps(100_000)), SearchOutcome::Unsat);
         let stats = cache.stats();
         assert_eq!((stats.invalidations, stats.retained, stats.revalidated), (0, 0, 0));
         assert_eq!((stats.misses, stats.hits), (1, 1));
@@ -1566,11 +1314,11 @@ mod tests {
         t.gci(a.clone(), Concept::some(r));
         let mut cache = SatCache::new();
         // `a` forces an R-edge in its witness; `b` stays edge-free.
-        assert_eq!(cache.satisfiable(&t, &a, 100_000), DlOutcome::Sat);
-        assert_eq!(cache.satisfiable(&t, &b, 100_000), DlOutcome::Sat);
+        assert_eq!(cache.satisfiable_cx(&t, &a, &steps(100_000)), SearchOutcome::Sat);
+        assert_eq!(cache.satisfiable_cx(&t, &b, &steps(100_000)), SearchOutcome::Sat);
         t.role_inclusion(r, s);
-        assert_eq!(cache.satisfiable(&t, &b, 100_000), DlOutcome::Sat);
-        assert_eq!(cache.satisfiable(&t, &a, 100_000), DlOutcome::Sat);
+        assert_eq!(cache.satisfiable_cx(&t, &b, &steps(100_000)), SearchOutcome::Sat);
+        assert_eq!(cache.satisfiable_cx(&t, &a, &steps(100_000)), SearchOutcome::Sat);
         let stats = cache.stats();
         assert_eq!(stats.revalidated, 1, "edge-free witness should survive");
         assert_eq!(stats.evicted, 1, "edged witness must be re-proved");
@@ -1589,20 +1337,20 @@ mod tests {
         let b = Concept::Atomic(t.atom("B"));
         t.gci(a.clone(), Concept::and([Concept::some(r), Concept::some(s)]));
         let mut cache = SatCache::new();
-        assert_eq!(cache.satisfiable(&t, &a, 100_000), DlOutcome::Sat);
-        assert_eq!(cache.satisfiable(&t, &b, 100_000), DlOutcome::Sat);
+        assert_eq!(cache.satisfiable_cx(&t, &a, &steps(100_000)), SearchOutcome::Sat);
+        assert_eq!(cache.satisfiable_cx(&t, &b, &steps(100_000)), SearchOutcome::Sat);
         // R and S land on *different* witness edges here, so both
         // entries survive the new disjointness.
         t.disjoint(r, s);
-        assert_eq!(cache.satisfiable(&t, &a, 100_000), DlOutcome::Sat);
-        assert_eq!(cache.satisfiable(&t, &b, 100_000), DlOutcome::Sat);
+        assert_eq!(cache.satisfiable_cx(&t, &a, &steps(100_000)), SearchOutcome::Sat);
+        assert_eq!(cache.satisfiable_cx(&t, &b, &steps(100_000)), SearchOutcome::Sat);
         let stats = cache.stats();
         assert_eq!((stats.revalidated, stats.evicted), (2, 0));
         // A self-disjointness on R violates `a`'s witness edge: evicted,
         // re-proved, and genuinely Unsat now.
         t.disjoint(r, r);
-        assert_eq!(cache.satisfiable(&t, &a, 100_000), DlOutcome::Unsat);
-        assert_eq!(cache.satisfiable(&t, &b, 100_000), DlOutcome::Sat);
+        assert_eq!(cache.satisfiable_cx(&t, &a, &steps(100_000)), SearchOutcome::Unsat);
+        assert_eq!(cache.satisfiable_cx(&t, &b, &steps(100_000)), SearchOutcome::Sat);
         let stats = cache.stats();
         assert_eq!(stats.evicted, 1);
         assert_eq!(stats.invalidations, 0);
@@ -1617,14 +1365,14 @@ mod tests {
         let (t, a, b) = ab_tbox();
         let mut cache = SatCache::new();
         let q = Concept::and([a.clone(), Concept::not(b.clone())]);
-        assert_eq!(cache.satisfiable(&t, &q, 100_000), DlOutcome::Unsat);
+        assert_eq!(cache.satisfiable_cx(&t, &q, &steps(100_000)), SearchOutcome::Unsat);
         assert_eq!(cache.len(), 1);
         cache.clear();
         assert!(cache.is_empty());
         assert_eq!(cache.stats().clears, 1);
         // Re-binding to the same TBox after an explicit clear is not a
         // stamp-mismatch invalidation: nothing stale was discarded.
-        assert_eq!(cache.satisfiable(&t, &q, 100_000), DlOutcome::Unsat);
+        assert_eq!(cache.satisfiable_cx(&t, &q, &steps(100_000)), SearchOutcome::Unsat);
         let stats = cache.stats();
         assert_eq!(stats.invalidations, 0);
         assert_eq!(stats.clears, 1);
@@ -1648,15 +1396,18 @@ mod tests {
         t.gci(c.clone(), Concept::Bottom);
         let mut cache = SatCache::new();
         // Certify the verdict through the plain path with an ample budget.
-        assert_eq!(cache.satisfiable(&t, &b, 100_000), DlOutcome::Unsat);
+        assert_eq!(cache.satisfiable_cx(&t, &b, &steps(100_000)), SearchOutcome::Unsat);
         // A starved explanation request fails …
-        assert_eq!(cache.explain(&t, &b, 0), Explanation::ResourceLimit);
+        assert_eq!(cache.explain_seeded_cx(&t, &b, &steps(0), &[]), Explanation::ResourceLimit);
         // … but the certified Unsat entry still answers, as a hit.
         let hits_before = cache.stats().hits;
-        assert_eq!(cache.satisfiable(&t, &b, 0), DlOutcome::Unsat);
+        assert_eq!(cache.satisfiable_cx(&t, &b, &steps(0)), SearchOutcome::Unsat);
         assert_eq!(cache.stats().hits, hits_before + 1, "verdict entry was destroyed");
         // And a funded explanation later completes and stores the core.
-        assert!(matches!(cache.explain(&t, &b, 100_000), Explanation::Unsat(_)));
+        assert!(matches!(
+            cache.explain_seeded_cx(&t, &b, &steps(100_000), &[]),
+            Explanation::Unsat(_)
+        ));
     }
 
     #[test]
@@ -1665,13 +1416,13 @@ mod tests {
         let mut clone = t.clone();
         let mut cache = SatCache::new();
         let q = Concept::and([a.clone(), Concept::not(b.clone())]);
-        assert_eq!(cache.satisfiable(&t, &q, 100_000), DlOutcome::Unsat);
+        assert_eq!(cache.satisfiable_cx(&t, &q, &steps(100_000)), SearchOutcome::Unsat);
         // The clone diverges: A ⊑ B is joined by B ⊑ ⊥.
         clone.gci(b.clone(), Concept::Bottom);
         // A alone is now unsatisfiable in the clone; the entry proved
         // against `t` must not answer for it.
-        assert_eq!(cache.satisfiable(&clone, &a, 100_000), DlOutcome::Unsat);
-        assert_eq!(cache.satisfiable(&t, &a, 100_000), DlOutcome::Sat);
+        assert_eq!(cache.satisfiable_cx(&clone, &a, &steps(100_000)), SearchOutcome::Unsat);
+        assert_eq!(cache.satisfiable_cx(&t, &a, &steps(100_000)), SearchOutcome::Sat);
     }
 
     #[test]
@@ -1682,25 +1433,25 @@ mod tests {
         let a = Concept::Atomic(t.atom("A"));
         t.gci(a.clone(), Concept::Exists(r, Box::new(a.clone())));
         let mut cache = SatCache::new();
-        assert_eq!(cache.satisfiable(&t, &a, 1), DlOutcome::ResourceLimit);
+        assert_eq!(cache.satisfiable_cx(&t, &a, &steps(1)), SearchOutcome::BudgetExhausted);
         // Same or smaller budget: short-circuited.
-        assert_eq!(cache.satisfiable(&t, &a, 1), DlOutcome::ResourceLimit);
+        assert_eq!(cache.satisfiable_cx(&t, &a, &steps(1)), SearchOutcome::BudgetExhausted);
         assert_eq!(cache.stats().hits, 1);
         // A larger budget must actually re-run — and succeeds.
-        assert_eq!(cache.satisfiable(&t, &a, 100_000), DlOutcome::Sat);
+        assert_eq!(cache.satisfiable_cx(&t, &a, &steps(100_000)), SearchOutcome::Sat);
         // The definitive verdict now answers even tiny-budget callers.
-        assert_eq!(cache.satisfiable(&t, &a, 1), DlOutcome::Sat);
+        assert_eq!(cache.satisfiable_cx(&t, &a, &steps(1)), SearchOutcome::Sat);
     }
 
     #[test]
     fn subsumes_through_cache_matches_uncached() {
         let (t, a, b) = ab_tbox();
         let mut cache = SatCache::new();
-        assert_eq!(cache.subsumes(&t, &b, &a, 100_000), Some(true));
-        assert_eq!(cache.subsumes(&t, &a, &b, 100_000), Some(false));
+        assert_eq!(cache.subsumes_cx(&t, &b, &a, &steps(100_000)), Ok(Some(true)));
+        assert_eq!(cache.subsumes_cx(&t, &a, &b, &steps(100_000)), Ok(Some(false)));
         assert_eq!(
-            cache.subsumes(&t, &b, &a, 100_000),
-            crate::tableau::subsumes(&t, &b, &a, 100_000)
+            cache.subsumes_cx(&t, &b, &a, &steps(100_000)),
+            crate::tableau::subsumes_cx(&t, &b, &a, &steps(100_000))
         );
     }
 
@@ -1712,15 +1463,15 @@ mod tests {
         let (t, a, b) = ab_tbox();
 
         let mut cache = SatCache::new();
-        assert_eq!(cache.subsumes(&t, &b, &a, 100_000), Some(true));
+        assert_eq!(cache.subsumes_cx(&t, &b, &a, &steps(100_000)), Ok(Some(true)));
         let q = Concept::and([a.clone(), Concept::not(b.clone())]);
-        assert_eq!(cache.satisfiable(&t, &q, 100_000), DlOutcome::Unsat);
+        assert_eq!(cache.satisfiable_cx(&t, &q, &steps(100_000)), SearchOutcome::Unsat);
         let stats = cache.stats();
         assert_eq!((stats.misses, stats.hits), (1, 1), "satisfiable missed the subsumes entry");
 
         let mut cache = SatCache::new();
-        assert_eq!(cache.satisfiable(&t, &q, 100_000), DlOutcome::Unsat);
-        assert_eq!(cache.subsumes(&t, &b, &a, 100_000), Some(true));
+        assert_eq!(cache.satisfiable_cx(&t, &q, &steps(100_000)), SearchOutcome::Unsat);
+        assert_eq!(cache.subsumes_cx(&t, &b, &a, &steps(100_000)), Ok(Some(true)));
         let stats = cache.stats();
         assert_eq!((stats.misses, stats.hits), (1, 1), "subsumes missed the satisfiable entry");
 
@@ -1730,10 +1481,10 @@ mod tests {
         let sup = Concept::or([b.clone(), Concept::some(RoleExpr::direct(0))]);
         let sub = Concept::and([a.clone(), b.clone()]);
         let spelled = Concept::and([sub.clone(), Concept::not(sup.clone())]);
-        let via_ids = cache.subsumes(&t, &sup, &sub, 100_000);
+        let via_ids = cache.subsumes_cx(&t, &sup, &sub, &steps(100_000));
         assert_eq!(
-            cache.satisfiable(&t, &spelled, 100_000) == DlOutcome::Unsat,
-            via_ids == Some(true)
+            cache.satisfiable_cx(&t, &spelled, &steps(100_000)) == SearchOutcome::Unsat,
+            via_ids == Ok(Some(true))
         );
         let stats = cache.stats();
         assert_eq!((stats.misses, stats.hits), (1, 1), "compound keys diverged");
@@ -1745,9 +1496,9 @@ mod tests {
         let shards = SatShards::new();
         let q1 = Concept::and([a.clone(), Concept::not(b.clone())]);
         let q2 = Concept::and([Concept::not(b.clone()), a.clone(), a.clone()]);
-        assert_eq!(shards.satisfiable(&t, &q1, 100_000), DlOutcome::Unsat);
-        assert_eq!(shards.satisfiable(&t, &q2, 100_000), DlOutcome::Unsat);
-        assert_eq!(shards.subsumes(&t, &b, &a, 100_000), Some(true));
+        assert_eq!(shards.satisfiable_cx(&t, &q1, &steps(100_000)), SearchOutcome::Unsat);
+        assert_eq!(shards.satisfiable_cx(&t, &q2, &steps(100_000)), SearchOutcome::Unsat);
+        assert_eq!(shards.subsumes_cx(&t, &b, &a, &steps(100_000)), Ok(Some(true)));
         let stats = shards.stats();
         assert_eq!((stats.misses, stats.hits), (1, 2), "spellings split across shards");
         assert_eq!(shards.len(), 1);
@@ -1760,7 +1511,7 @@ mod tests {
             (0..64).map(|i| Concept::Atomic(t.atom(format!("A{i}")))).collect();
         let shards = SatShards::with_shards(8);
         for q in &atoms {
-            assert_eq!(shards.satisfiable(&t, q, 100_000), DlOutcome::Sat);
+            assert_eq!(shards.satisfiable_cx(&t, q, &steps(100_000)), SearchOutcome::Sat);
         }
         assert_eq!(shards.len(), 64);
         // With 64 distinct keys over 8 shards, a constant router would
@@ -1776,7 +1527,7 @@ mod tests {
     fn shards_clear_counts_per_shard() {
         let (t, a, _) = ab_tbox();
         let shards = SatShards::with_shards(4);
-        assert_eq!(shards.satisfiable(&t, &a, 100_000), DlOutcome::Sat);
+        assert_eq!(shards.satisfiable_cx(&t, &a, &steps(100_000)), SearchOutcome::Sat);
         shards.clear();
         assert!(shards.is_empty());
         assert_eq!(shards.stats().clears, 4);
@@ -1800,22 +1551,32 @@ mod tests {
     fn enumeration_caches_families() {
         let (t, a) = two_mus_tbox();
         let mut cache = SatCache::new();
-        let MusEnumeration::Unsat(family) = cache.enumerate(&t, &a, 100_000, usize::MAX) else {
+        let MusEnumeration::Unsat(family) =
+            cache.enumerate_seeded_cx(&t, &a, &steps(100_000), usize::MAX, &[])
+        else {
             panic!("A is doomed");
         };
         assert_eq!(family.cores.len(), 2);
         assert!(family.complete);
-        assert_eq!(cache.enumerate(&t, &a, 100_000, usize::MAX), MusEnumeration::Unsat(family));
+        assert_eq!(
+            cache.enumerate_seeded_cx(&t, &a, &steps(100_000), usize::MAX, &[]),
+            MusEnumeration::Unsat(family)
+        );
         assert_eq!((cache.stats().misses, cache.stats().hits), (1, 1));
         // Top-1 from the cached complete family: a truncated prefix.
-        let MusEnumeration::Unsat(top1) = cache.enumerate(&t, &a, 100_000, 1) else {
+        let MusEnumeration::Unsat(top1) =
+            cache.enumerate_seeded_cx(&t, &a, &steps(100_000), 1, &[])
+        else {
             panic!("A is doomed");
         };
         assert_eq!(top1.cores.len(), 1);
         assert!(top1.truncated && !top1.complete);
         assert_eq!(cache.stats().hits, 2);
         // The family also fills the single-core slot: explain hits too.
-        assert!(matches!(cache.explain(&t, &a, 100_000), Explanation::Unsat(_)));
+        assert!(matches!(
+            cache.explain_seeded_cx(&t, &a, &steps(100_000), &[]),
+            Explanation::Unsat(_)
+        ));
         assert_eq!(cache.stats().hits, 3);
     }
 
@@ -1826,7 +1587,9 @@ mod tests {
     fn families_survive_additions_without_claiming_completeness() {
         let (mut t, a) = two_mus_tbox();
         let mut cache = SatCache::new();
-        let MusEnumeration::Unsat(before) = cache.enumerate(&t, &a, 100_000, usize::MAX) else {
+        let MusEnumeration::Unsat(before) =
+            cache.enumerate_seeded_cx(&t, &a, &steps(100_000), usize::MAX, &[])
+        else {
             panic!("A is doomed");
         };
         assert!(before.complete);
@@ -1836,7 +1599,9 @@ mod tests {
         t.gci(c.clone(), Concept::Bottom);
         // Top-2 answers from the retained family (a valid truncated
         // prefix — both cores are still certified MUSes).
-        let MusEnumeration::Unsat(top2) = cache.enumerate(&t, &a, 100_000, 2) else {
+        let MusEnumeration::Unsat(top2) =
+            cache.enumerate_seeded_cx(&t, &a, &steps(100_000), 2, &[])
+        else {
             panic!("A is doomed");
         };
         assert_eq!(top2.cores, before.cores);
@@ -1844,7 +1609,9 @@ mod tests {
         assert_eq!(cache.stats().retained, 1);
         // A full request must NOT replay the stale family: it re-runs and
         // finds all three.
-        let MusEnumeration::Unsat(after) = cache.enumerate(&t, &a, 100_000, usize::MAX) else {
+        let MusEnumeration::Unsat(after) =
+            cache.enumerate_seeded_cx(&t, &a, &steps(100_000), usize::MAX, &[])
+        else {
             panic!("A is doomed");
         };
         assert_eq!(after.cores.len(), 3);
@@ -1857,7 +1624,9 @@ mod tests {
     fn families_invalidated_by_destructive_deltas() {
         let (mut t, a) = two_mus_tbox();
         let mut cache = SatCache::new();
-        let MusEnumeration::Unsat(family) = cache.enumerate(&t, &a, 100_000, usize::MAX) else {
+        let MusEnumeration::Unsat(family) =
+            cache.enumerate_seeded_cx(&t, &a, &steps(100_000), usize::MAX, &[])
+        else {
             panic!("A is doomed");
         };
         assert_eq!(family.cores.len(), 2);
@@ -1865,7 +1634,9 @@ mod tests {
         // and its gci indices have shifted, so a replayed family would be
         // observably wrong.
         t.retract_gci(0);
-        let MusEnumeration::Unsat(after) = cache.enumerate(&t, &a, 100_000, usize::MAX) else {
+        let MusEnumeration::Unsat(after) =
+            cache.enumerate_seeded_cx(&t, &a, &steps(100_000), usize::MAX, &[])
+        else {
             panic!("A is still doomed through B");
         };
         assert_eq!(cache.stats().invalidations, 1);
@@ -1881,8 +1652,8 @@ mod tests {
         let (t, a) = two_mus_tbox();
         let shards = SatShards::new();
         let mut sequential = SatCache::new();
-        let via_shards = shards.enumerate(&t, &a, 100_000, usize::MAX);
-        let via_cache = sequential.enumerate(&t, &a, 100_000, usize::MAX);
+        let via_shards = shards.enumerate_cx(&t, &a, &steps(100_000), usize::MAX);
+        let via_cache = sequential.enumerate_seeded_cx(&t, &a, &steps(100_000), usize::MAX, &[]);
         let (MusEnumeration::Unsat(fs), MusEnumeration::Unsat(fc)) = (&via_shards, &via_cache)
         else {
             panic!("A is doomed both ways");
@@ -1895,8 +1666,8 @@ mod tests {
         assert_eq!(sets(fs), sets(fc));
         assert_eq!((fs.complete, fs.truncated), (fc.complete, fc.truncated));
         // The family entry answers the other entry points as hits.
-        assert_eq!(shards.satisfiable(&t, &a, 100_000), DlOutcome::Unsat);
-        assert!(matches!(shards.explain(&t, &a, 100_000), Explanation::Unsat(_)));
+        assert_eq!(shards.satisfiable_cx(&t, &a, &steps(100_000)), SearchOutcome::Unsat);
+        assert!(matches!(shards.explain_cx(&t, &a, &steps(100_000)), Explanation::Unsat(_)));
         let stats = shards.stats();
         assert_eq!((stats.misses, stats.hits), (1, 2));
     }
@@ -2017,17 +1788,17 @@ mod tests {
         let k = cache.key(&a);
         cache.record(k, DlOutcome::ResourceLimit, 50, None);
 
-        assert_eq!(cache.satisfiable(&t, &a, 10), DlOutcome::ResourceLimit);
+        assert_eq!(cache.satisfiable_cx(&t, &a, &steps(10)), SearchOutcome::BudgetExhausted);
         assert_eq!((cache.stats().hits, cache.stats().misses), (1, 0));
-        assert_eq!(cache.satisfiable(&t, &a, 50), DlOutcome::ResourceLimit);
+        assert_eq!(cache.satisfiable_cx(&t, &a, &steps(50)), SearchOutcome::BudgetExhausted);
         assert_eq!(
             (cache.stats().hits, cache.stats().misses),
             (2, 0),
             "downgraded probe shrank the stamp: the 50-step caller re-proved"
         );
-        assert_eq!(cache.satisfiable(&t, &a, 100_000), DlOutcome::Sat);
+        assert_eq!(cache.satisfiable_cx(&t, &a, &steps(100_000)), SearchOutcome::Sat);
         assert_eq!(cache.stats().misses, 1);
-        assert_eq!(cache.satisfiable(&t, &a, 1), DlOutcome::Sat);
+        assert_eq!(cache.satisfiable_cx(&t, &a, &steps(1)), SearchOutcome::Sat);
     }
 
     /// The explain/enumerate cx paths obey the same recording rule:
@@ -2060,7 +1831,7 @@ mod tests {
         ));
     }
 
-    /// The shard-level cx wrappers share entries with the legacy paths
+    /// The shard-level wrappers share entries across entry points
     /// and aggregate the new counters.
     #[test]
     fn shards_cx_paths_share_entries_and_counters() {
@@ -2069,8 +1840,8 @@ mod tests {
         let q = Concept::and([a.clone(), Concept::not(b.clone())]);
         let rich = ExecCx::with_steps(100_000);
         assert_eq!(shards.satisfiable_cx(&t, &q, &rich), SearchOutcome::Unsat);
-        // The legacy entry point hits the cx-proved entry.
-        assert_eq!(shards.satisfiable(&t, &q, 100_000), DlOutcome::Unsat);
+        // A second context with the same budget hits the proved entry.
+        assert_eq!(shards.satisfiable_cx(&t, &q, &steps(100_000)), SearchOutcome::Unsat);
         assert_eq!(shards.subsumes_cx(&t, &b, &a, &rich), Ok(Some(true)));
         assert!(matches!(shards.explain_cx(&t, &q, &rich), Explanation::Unsat(_)));
         let cancelled = ExecCx::unlimited();

@@ -773,8 +773,14 @@ impl SatShards {
 mod tests {
     use super::*;
     use crate::cache::SatShards;
+    use crate::exec::ExecCx;
     use crate::explain::Explanation;
-    use crate::tableau::DlOutcome;
+    use crate::tableau::SearchOutcome;
+
+    /// A context granting every proof `n` steps.
+    fn steps(n: u64) -> ExecCx {
+        ExecCx::with_steps(n)
+    }
 
     /// A TBox with a satisfiable atom (witnessed, with role edges), a
     /// doomed atom (core + family), and a starving query (Unknown).
@@ -793,13 +799,15 @@ mod tests {
         (t, vec![a, b, c, loops])
     }
 
-    fn warm(shards: &SatShards, t: &TBox, qs: &[Concept]) -> Vec<DlOutcome> {
+    fn warm(shards: &SatShards, t: &TBox, qs: &[Concept]) -> Vec<SearchOutcome> {
         let (a, b, _c, loops) = (&qs[0], &qs[1], &qs[2], &qs[3]);
-        let mut verdicts =
-            vec![shards.satisfiable(t, a, 100_000), shards.satisfiable(t, b, 100_000)];
-        assert!(matches!(shards.explain(t, b, 100_000), Explanation::Unsat(_)));
-        let _ = shards.enumerate(t, b, 100_000, usize::MAX);
-        verdicts.push(shards.satisfiable(t, loops, 5));
+        let mut verdicts = vec![
+            shards.satisfiable_cx(t, a, &steps(100_000)),
+            shards.satisfiable_cx(t, b, &steps(100_000)),
+        ];
+        assert!(matches!(shards.explain_cx(t, b, &steps(100_000)), Explanation::Unsat(_)));
+        let _ = shards.enumerate_cx(t, b, &steps(100_000), usize::MAX);
+        verdicts.push(shards.satisfiable_cx(t, loops, &steps(5)));
         verdicts
     }
 
@@ -808,7 +816,10 @@ mod tests {
         let (t, qs) = rich_fixture();
         let shards = SatShards::new();
         let verdicts = warm(&shards, &t, &qs);
-        assert_eq!(verdicts, vec![DlOutcome::Sat, DlOutcome::Unsat, DlOutcome::ResourceLimit]);
+        assert_eq!(
+            verdicts,
+            vec![SearchOutcome::Sat, SearchOutcome::Unsat, SearchOutcome::BudgetExhausted]
+        );
         let blob = shards.snapshot(&t);
         assert_eq!(shards.stats().snapshots, 1);
 
@@ -824,10 +835,10 @@ mod tests {
         assert_eq!(cold.stats().restores, 1);
 
         // Every warm query is a pure hit — verdicts agree, zero misses.
-        assert_eq!(cold.satisfiable(&t2, &qs[0], 100_000), DlOutcome::Sat);
-        assert_eq!(cold.satisfiable(&t2, &qs[1], 100_000), DlOutcome::Unsat);
-        assert!(matches!(cold.explain(&t2, &qs[1], 100_000), Explanation::Unsat(_)));
-        assert_eq!(cold.satisfiable(&t2, &qs[3], 5), DlOutcome::ResourceLimit);
+        assert_eq!(cold.satisfiable_cx(&t2, &qs[0], &steps(100_000)), SearchOutcome::Sat);
+        assert_eq!(cold.satisfiable_cx(&t2, &qs[1], &steps(100_000)), SearchOutcome::Unsat);
+        assert!(matches!(cold.explain_cx(&t2, &qs[1], &steps(100_000)), Explanation::Unsat(_)));
+        assert_eq!(cold.satisfiable_cx(&t2, &qs[3], &steps(5)), SearchOutcome::BudgetExhausted);
         let stats = cold.stats();
         assert_eq!(stats.misses, 0, "restore failed to pre-warm: {stats}");
         assert_eq!(stats.hits, 4);
@@ -847,8 +858,8 @@ mod tests {
         // against the delta log instead of re-proving.
         let d = Concept::Atomic(t2.atom("D"));
         t2.gci(d.clone(), Concept::Bottom);
-        assert_eq!(cold.satisfiable(&t2, &qs[0], 100_000), DlOutcome::Sat);
-        assert_eq!(cold.satisfiable(&t2, &qs[1], 100_000), DlOutcome::Unsat);
+        assert_eq!(cold.satisfiable_cx(&t2, &qs[0], &steps(100_000)), SearchOutcome::Sat);
+        assert_eq!(cold.satisfiable_cx(&t2, &qs[1], &steps(100_000)), SearchOutcome::Unsat);
         let stats = cold.stats();
         assert_eq!(stats.invalidations, 0, "additions cleared restored shards");
         assert!(stats.retained >= 1, "Unsat not retained: {stats}");
@@ -856,7 +867,7 @@ mod tests {
         // And a genuinely conflicting addition evicts the witness and
         // re-proves with the *new* verdict — no staleness.
         t2.gci(qs[0].clone(), Concept::Bottom);
-        assert_eq!(cold.satisfiable(&t2, &qs[0], 100_000), DlOutcome::Unsat);
+        assert_eq!(cold.satisfiable_cx(&t2, &qs[0], &steps(100_000)), SearchOutcome::Unsat);
     }
 
     #[test]
@@ -941,7 +952,7 @@ mod tests {
         let blob = shards.snapshot(&t);
         let t2 = t.clone();
         let target = SatShards::new();
-        assert_eq!(target.satisfiable(&t2, &qs[0], 100_000), DlOutcome::Sat);
+        assert_eq!(target.satisfiable_cx(&t2, &qs[0], &steps(100_000)), SearchOutcome::Sat);
         assert_eq!(target.restore(&t2, &blob), Err(SnapshotError::WarmCache));
         // The warm entry is untouched.
         assert_eq!(target.len(), 1);

@@ -228,8 +228,7 @@ impl Default for ExecCx {
 
 impl ExecCx {
     /// A context with no step budget, no deadline, and a fresh token —
-    /// the back-compat default every legacy `u64` wrapper ultimately
-    /// narrows to when given `u64::MAX`.
+    /// what [`ExecCx::with_steps`] returns for `u64::MAX`.
     #[must_use]
     pub fn unlimited() -> Self {
         Self {
@@ -241,8 +240,8 @@ impl ExecCx {
         }
     }
 
-    /// A context whose every proof gets `steps` rule applications —
-    /// exactly the semantics of the legacy `budget: u64` parameter.
+    /// A context whose every proof gets `steps` rule applications — the
+    /// way a caller that only wants a step budget calls any engine.
     /// `u64::MAX` means unmetered (no per-step countdown at all).
     #[must_use]
     pub fn with_steps(steps: u64) -> Self {

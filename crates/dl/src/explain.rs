@@ -11,7 +11,7 @@
 //! # Algorithm
 //!
 //! 1. **Seed** — run the tableau with axiom-usage tracking
-//!    ([`crate::tableau::satisfiable_with_conflict`]). Every derived fact
+//!    ([`crate::tableau::satisfiable_with_conflict_cx`]). Every derived fact
 //!    carries the set of axioms it transitively rests on, so the final
 //!    conflict names a (conservative, possibly saturated) superset of one
 //!    refutation's axioms — usually far smaller than the whole TBox.
@@ -40,7 +40,7 @@
 //!   conservatively and clears the flag: the core is still a certified
 //!   unsat core, just possibly not minimal.
 //! * The outcome classification always agrees with the plain
-//!   [`crate::tableau::satisfiable`] verdict: `Unsat(_)` exactly when the
+//!   [`crate::tableau::satisfiable_cx`] verdict: `Unsat(_)` exactly when the
 //!   plain run answers `Unsat`.
 //!
 //! The differential property tests in `tests/explain_dl.rs` pin all three
@@ -49,19 +49,17 @@
 //! # Beyond one core
 //!
 //! One MUS names one contradiction; a schema with several independent
-//! ones deserves all of them at once. [`enumerate_mus`] lifts the
+//! ones deserves all of them at once. [`enumerate_mus_cx`] lifts the
 //! extractor into a MARCO-style enumeration over the axiom powerset
 //! (found MUSes *block* their supersets, so each is discovered exactly
-//! once), and [`repair_sets`] / [`ranked_repairs`] turn the family into
+//! once), and [`repair_sets`] / [`ranked_repairs_cx`] turn the family into
 //! ⊆-minimal **hitting sets** — candidate repairs, each re-proved `Sat`
 //! against the TBox minus the repair and ranked by edit recency from the
 //! delta log. See `docs/EXPLANATIONS.md` for the full algorithm.
 
 use crate::concept::Concept;
 use crate::exec::ExecCx;
-use crate::tableau::{
-    satisfiable, satisfiable_cx, satisfiable_with_conflict_cx, DlOutcome, SearchOutcome,
-};
+use crate::tableau::{satisfiable_cx, satisfiable_with_conflict_cx, DlOutcome, SearchOutcome};
 use crate::tbox::{AxiomId, TBox};
 
 /// A certified unsat core: axioms whose restriction still refutes the
@@ -104,7 +102,7 @@ pub enum Explanation {
 
 impl Explanation {
     /// The plain verdict this explanation corresponds to (what
-    /// [`crate::tableau::satisfiable`] would have answered).
+    /// [`crate::tableau::satisfiable_cx`] would have answered).
     pub fn verdict(&self) -> DlOutcome {
         match self {
             Explanation::Unsat(_) => DlOutcome::Unsat,
@@ -124,9 +122,8 @@ impl Explanation {
 
 /// Whether `candidate`'s restriction refutes `query`, reporting the
 /// probe's own conflict seed for refinement. Runs under the caller's
-/// execution context — one per-proof step budget per probe (exactly the
-/// legacy per-probe `budget` semantics), with the context's cancellation
-/// token and deadline checked cooperatively inside the tableau, so a
+/// execution context — one per-proof step budget per probe, with the
+/// context's cancellation token and deadline checked cooperatively inside the tableau, so a
 /// whole extraction stops within one probe of an interrupt.
 fn probe(
     tbox: &TBox,
@@ -173,12 +170,20 @@ fn candidate_flat_to_original(candidate: &[AxiomId], flat: usize) -> AxiomId {
 }
 
 /// Compute a minimal unsat core of `query` against `tbox` (see the
-/// [module docs](self) for the algorithm and guarantees). Each internal
-/// tableau probe runs under the same `budget` as the initial check.
+/// [module docs](self) for the algorithm and guarantees). Every internal
+/// probe inherits `cx` — its per-proof step budget bounds each probe, and
+/// its cancellation token and deadline are observed inside each tableau
+/// run, so the extraction stops within one probe of an interrupt. An
+/// interrupt before the initial verdict classifies as
+/// [`Explanation::ResourceLimit`] (the caller distinguishes interruption
+/// by checking `cx` itself); an interrupt *during* minimization returns
+/// the certified core found so far with [`UnsatCore::minimal`] cleared —
+/// never a wrong or uncertified answer.
 ///
 /// ```
 /// use orm_dl::concept::Concept;
-/// use orm_dl::explain::{explain_unsat, Explanation};
+/// use orm_dl::exec::ExecCx;
+/// use orm_dl::explain::{explain_unsat_cx, Explanation};
 /// use orm_dl::tbox::TBox;
 ///
 /// let mut tbox = TBox::new();
@@ -188,28 +193,16 @@ fn candidate_flat_to_original(candidate: &[AxiomId], flat: usize) -> AxiomId {
 /// let doom = tbox.gci(Concept::and([a.clone(), b.clone()]), Concept::Bottom);
 /// tbox.gci(b.clone(), Concept::Top); // irrelevant noise
 ///
-/// match explain_unsat(&tbox, &a, 100_000) {
+/// let cx = ExecCx::with_steps(100_000);
+/// match explain_unsat_cx(&tbox, &a, &cx) {
 ///     Explanation::Unsat(core) => {
 ///         assert_eq!(core.axioms, vec![ab, doom]);
 ///         assert!(core.minimal);
 ///     }
 ///     other => panic!("expected a core, got {other:?}"),
 /// }
-/// assert_eq!(explain_unsat(&tbox, &b, 100_000), Explanation::Satisfiable);
+/// assert_eq!(explain_unsat_cx(&tbox, &b, &cx), Explanation::Satisfiable);
 /// ```
-pub fn explain_unsat(tbox: &TBox, query: &Concept, budget: u64) -> Explanation {
-    explain_unsat_cx(tbox, query, &ExecCx::with_steps(budget))
-}
-
-/// [`explain_unsat`] under an execution context: every internal probe
-/// inherits `cx` — its per-proof step budget plays the legacy per-probe
-/// `budget` role, and its cancellation token and deadline are observed
-/// inside each tableau run, so the extraction stops within one probe of
-/// an interrupt. An interrupt before the initial verdict classifies as
-/// [`Explanation::ResourceLimit`] (the caller distinguishes interruption
-/// by checking `cx` itself); an interrupt *during* minimization returns
-/// the certified core found so far with [`UnsatCore::minimal`] cleared —
-/// never a wrong or uncertified answer.
 pub fn explain_unsat_cx(tbox: &TBox, query: &Concept, cx: &ExecCx) -> Explanation {
     // The minimization probes run the tableau against *weakened* TBoxes,
     // whose searches can legitimately open thousands of decision levels
@@ -223,8 +216,8 @@ pub fn explain_unsat_cx(tbox: &TBox, query: &Concept, cx: &ExecCx) -> Explanatio
 /// Run `f` on a scoped worker thread whose stack fits a worst-case
 /// tableau search (the engine recurses one `search` frame per open
 /// decision level, and weakened-TBox probes can open thousands within an
-/// ample budget). [`explain_unsat`] wraps its own work in this; callers
-/// that drive `satisfiable` directly against [`TBox::restrict_to`]
+/// ample budget). [`explain_unsat_cx`] wraps its own work in this; callers
+/// that drive `satisfiable_cx` directly against [`TBox::restrict_to`]
 /// outputs — verification harnesses, benches, property tests — should
 /// do the same rather than size their own threads.
 pub fn with_deep_stack<T: Send>(f: impl FnOnce() -> T + Send) -> T {
@@ -280,22 +273,12 @@ fn explain_unsat_inner(tbox: &TBox, query: &Concept, cx: &ExecCx) -> Explanation
 ///
 /// The seed is probed first. If its restriction certifiably refutes the
 /// query, minimization starts from the seed and the full-TBox tableau run
-/// that dominates [`explain_unsat`]'s cold path is **skipped entirely** —
-/// sound because satisfiability is anti-monotone in the axiom set: a
+/// that dominates [`explain_unsat_cx`]'s cold path is **skipped entirely**
+/// — sound because satisfiability is anti-monotone in the axiom set: a
 /// refuting restriction means the full TBox refutes too. A seed that fails
-/// to refute (or exhausts its probe budget) costs one probe and falls back
-/// to the cold path. Unknown axiom ids in the seed are ignored.
-pub fn explain_unsat_seeded(
-    tbox: &TBox,
-    query: &Concept,
-    budget: u64,
-    seed: &[AxiomId],
-) -> Explanation {
-    explain_unsat_seeded_cx(tbox, query, &ExecCx::with_steps(budget), seed)
-}
-
-/// [`explain_unsat_seeded`] under an execution context (see
-/// [`explain_unsat_cx`] for the interrupt semantics the probes inherit).
+/// to refute (or whose probe is cut short) costs one probe and falls back
+/// to the cold path. Unknown axiom ids in the seed are ignored. The probes
+/// inherit `cx` as in [`explain_unsat_cx`].
 pub fn explain_unsat_seeded_cx(
     tbox: &TBox,
     query: &Concept,
@@ -398,18 +381,19 @@ fn minimize(tbox: &TBox, query: &Concept, cx: &ExecCx, mut core: Vec<AxiomId>) -
 /// check the property tests and the bench harness run against every
 /// extracted core.
 pub fn core_refutes(tbox: &TBox, core: &UnsatCore, query: &Concept, budget: u64) -> bool {
-    satisfiable(&tbox.restrict_to(&core.axioms), query, budget) == DlOutcome::Unsat
+    core_refutes_cx(tbox, core, query, &ExecCx::with_steps(budget))
 }
 
-/// [`core_refutes`] under an execution context — `true` only on a
-/// certified `Unsat` run; an interrupted check conservatively reports
-/// `false` (the caller must not emit what it could not certify).
+/// Whether `core` (alone) certifiably refutes `query` under an execution
+/// context — `true` only on a certified `Unsat` run; an interrupted check
+/// conservatively reports `false` (the caller must not emit what it could
+/// not certify).
 pub fn core_refutes_cx(tbox: &TBox, core: &UnsatCore, query: &Concept, cx: &ExecCx) -> bool {
     satisfiable_cx(&tbox.restrict_to(&core.axioms), query, cx) == SearchOutcome::Unsat
 }
 
 /// The enumerated family of minimal unsat cores (MUSes) of one query —
-/// what [`enumerate_mus`] returns inside [`MusEnumeration::Unsat`].
+/// what [`enumerate_mus_cx`] returns inside [`MusEnumeration::Unsat`].
 ///
 /// Every core in the family is individually certified (its restriction
 /// refutes the query, re-proved by [`core_refutes`] before emission) and
@@ -494,7 +478,7 @@ fn sorted_subset(sub: &[AxiomId], sup: &[AxiomId]) -> bool {
 /// axiom powerset (see `docs/EXPLANATIONS.md`).
 ///
 /// The first MUS comes from the efficient single-core extractor
-/// ([`explain_unsat`]'s conflict-seeded path). Each further candidate
+/// ([`explain_unsat_cx`]'s conflict-seeded path). Each further candidate
 /// subset `S` is handled by *blocking*: if some already-found MUS `M ⊆ S`
 /// then `S` cannot yield a new MUS directly (any other MUS `M' ⊆ S` must
 /// avoid some axiom of `M`, both being minimal and distinct), so the
@@ -504,7 +488,7 @@ fn sorted_subset(sub: &[AxiomId], sup: &[AxiomId]) -> bool {
 /// (deletion-minimization never leaves `S`, and minimality/refutation are
 /// properties of the restriction alone — independent of the ambient set —
 /// so the result is a genuine MUS of the full TBox), which is re-certified
-/// by [`core_refutes`] before emission and then blocks its own branches.
+/// by [`core_refutes_cx`] before emission and then blocks its own branches.
 /// This branching is complete: every MUS is reachable by excluding, one
 /// by one, the axioms of the MUSes it avoids.
 ///
@@ -514,12 +498,19 @@ fn sorted_subset(sub: &[AxiomId], sup: &[AxiomId]) -> bool {
 ///
 /// `limit` caps the family at top-k (`0` is promoted to `1`;
 /// `usize::MAX` means "all"); hitting the cap with work left sets
-/// [`MusFamily::truncated`]. Runs on the same deep-stack worker as
-/// [`explain_unsat`].
+/// [`MusFamily::truncated`]. The whole loop — first extraction,
+/// blocking-tree probes, per-MUS minimizations — inherits `cx`, so a
+/// cancellation or deadline **stops the enumeration cleanly mid-family**:
+/// the cores certified so far are returned with [`MusFamily::truncated`]
+/// set and [`MusFamily::complete`] cleared (an interrupt before the
+/// initial verdict classifies as [`MusEnumeration::ResourceLimit`]). No
+/// partial or uncertified core is ever emitted. Runs on the same
+/// deep-stack worker as [`explain_unsat_cx`].
 ///
 /// ```
 /// use orm_dl::concept::Concept;
-/// use orm_dl::explain::{enumerate_mus, MusEnumeration};
+/// use orm_dl::exec::ExecCx;
+/// use orm_dl::explain::{enumerate_mus_cx, MusEnumeration};
 /// use orm_dl::tbox::TBox;
 ///
 /// let mut tbox = TBox::new();
@@ -530,7 +521,8 @@ fn sorted_subset(sub: &[AxiomId], sup: &[AxiomId]) -> bool {
 /// let ab = tbox.gci(a.clone(), b.clone());
 /// let doom2 = tbox.gci(b.clone(), Concept::Bottom);
 ///
-/// let MusEnumeration::Unsat(family) = enumerate_mus(&tbox, &a, 100_000, usize::MAX) else {
+/// let cx = ExecCx::with_steps(100_000);
+/// let MusEnumeration::Unsat(family) = enumerate_mus_cx(&tbox, &a, &cx, usize::MAX) else {
 ///     panic!("A is doomed");
 /// };
 /// assert!(family.complete && !family.truncated);
@@ -538,38 +530,14 @@ fn sorted_subset(sub: &[AxiomId], sup: &[AxiomId]) -> bool {
 /// cores.sort();
 /// assert_eq!(cores, vec![vec![doom1], vec![ab, doom2]]);
 /// ```
-pub fn enumerate_mus(tbox: &TBox, query: &Concept, budget: u64, limit: usize) -> MusEnumeration {
-    enumerate_mus_cx(tbox, query, &ExecCx::with_steps(budget), limit)
-}
-
-/// [`enumerate_mus`] under an execution context: the whole MARCO loop —
-/// first extraction, blocking-tree probes, per-MUS minimizations —
-/// inherits `cx`, so a cancellation or deadline **stops the enumeration
-/// cleanly mid-family**: the cores certified so far are returned with
-/// [`MusFamily::truncated`] set and [`MusFamily::complete`] cleared
-/// (an interrupt before the initial verdict classifies as
-/// [`MusEnumeration::ResourceLimit`]). No partial or uncertified core is
-/// ever emitted.
 pub fn enumerate_mus_cx(tbox: &TBox, query: &Concept, cx: &ExecCx, limit: usize) -> MusEnumeration {
     with_deep_stack(|| enumerate_mus_inner(tbox, query, cx, limit, &[]))
 }
 
-/// [`enumerate_mus`] with a warm-start seed for the *first* extraction
-/// (the [`explain_unsat_seeded`] fast path — typically the pooled core
+/// [`enumerate_mus_cx`] with a warm-start seed for the *first* extraction
+/// (the [`explain_unsat_seeded_cx`] fast path — typically the pooled core
 /// axioms of other elements of the same schema). The seed only steers how
 /// the first MUS is found; every emitted core is certified the same way.
-pub fn enumerate_mus_seeded(
-    tbox: &TBox,
-    query: &Concept,
-    budget: u64,
-    limit: usize,
-    seed: &[AxiomId],
-) -> MusEnumeration {
-    enumerate_mus_seeded_cx(tbox, query, &ExecCx::with_steps(budget), limit, seed)
-}
-
-/// [`enumerate_mus_seeded`] under an execution context (see
-/// [`enumerate_mus_cx`] for the clean mid-family stop semantics).
 pub fn enumerate_mus_seeded_cx(
     tbox: &TBox,
     query: &Concept,
@@ -673,7 +641,7 @@ fn enumerate_mus_inner(
 /// core, i.e. removing them breaks **all** known refutations at once.
 ///
 /// Produced unverified by [`repair_sets`] (a pure hitting-set
-/// computation) and verified + ranked by [`ranked_repairs`].
+/// computation) and verified + ranked by [`ranked_repairs_cx`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct RepairSet {
     /// The axioms to drop, sorted by provenance id.
@@ -681,7 +649,7 @@ pub struct RepairSet {
     /// Whether removing exactly these axioms was re-proved to make the
     /// query satisfiable (never assumed — a hitting set of a truncated or
     /// incomplete family can miss an unenumerated MUS). `false` until
-    /// [`ranked_repairs`] proves it.
+    /// [`ranked_repairs_cx`] proves it.
     pub verified: bool,
     /// The most recent delta-log position among the repair's axioms
     /// ([`TBox::axiom_recency`]) — the ranking key: a modeler most likely
@@ -723,7 +691,7 @@ const MAX_RAW_HITTING_SETS: usize = 65_536;
 /// the result is empty — no axiom removal can repair such an element.
 /// The returned sets are unverified ([`RepairSet::verified`] is `false`):
 /// hitting every *enumerated* core only guarantees satisfiability when
-/// the family is complete — use [`ranked_repairs`] to re-prove each.
+/// the family is complete — use [`ranked_repairs_cx`] to re-prove each.
 pub fn repair_sets(cores: &[UnsatCore]) -> Vec<RepairSet> {
     if cores.is_empty() || cores.iter().any(|c| c.is_empty()) {
         return Vec::new();
@@ -770,19 +738,11 @@ pub fn repair_sets(cores: &[UnsatCore]) -> Vec<RepairSet> {
 /// ([`TBox::axiom_recency`]): most recently edited first, then smaller
 /// repairs, then lexicographic axiom order — a total, deterministic
 /// order, so re-ranking against the same log is stable.
-pub fn ranked_repairs(
-    tbox: &TBox,
-    query: &Concept,
-    budget: u64,
-    family: &MusFamily,
-) -> Vec<RepairSet> {
-    ranked_repairs_cx(tbox, query, &ExecCx::with_steps(budget), family)
-}
-
-/// [`ranked_repairs`] under an execution context: each verification
-/// probe inherits `cx`; an interrupt drops the remaining *unverified*
-/// candidates (every returned repair is still individually re-proved
-/// `Sat`) — the context-aware analogue of a truncated family.
+///
+/// Each verification probe inherits `cx`; an interrupt drops the
+/// remaining *unverified* candidates (every returned repair is still
+/// individually re-proved `Sat`) — the context-aware analogue of a
+/// truncated family.
 pub fn ranked_repairs_cx(
     tbox: &TBox,
     query: &Concept,
@@ -830,17 +790,22 @@ mod tests {
 
     const BUDGET: u64 = 200_000;
 
+    /// The per-proof context every query below runs under.
+    fn cx() -> ExecCx {
+        ExecCx::with_steps(BUDGET)
+    }
+
     #[test]
     fn empty_core_for_self_contradiction() {
         let mut t = TBox::new();
         let a = Concept::Atomic(t.atom("A"));
         t.gci(a.clone(), Concept::Top);
         let query = Concept::and([a.clone(), Concept::not(a.clone())]);
-        match explain_unsat(&t, &query, BUDGET) {
+        match explain_unsat_cx(&t, &query, &cx()) {
             Explanation::Unsat(core) => {
                 assert!(core.is_empty(), "self-contradiction needs no axioms: {core:?}");
                 assert!(core.minimal);
-                assert!(core_refutes(&t, &core, &query, BUDGET));
+                assert!(core_refutes_cx(&t, &core, &query, &cx()));
             }
             other => panic!("expected a core, got {other:?}"),
         }
@@ -860,7 +825,7 @@ mod tests {
         let g1 = t.gci(phd.clone(), student.clone());
         let g2 = t.gci(phd.clone(), employee.clone());
         let g3 = t.gci(Concept::and([student.clone(), employee.clone()]), Concept::Bottom);
-        match explain_unsat(&t, &phd, BUDGET) {
+        match explain_unsat_cx(&t, &phd, &cx()) {
             Explanation::Unsat(core) => {
                 assert_eq!(core.axioms, vec![g1, g2, g3], "core picked wrong axioms");
                 assert!(core.minimal);
@@ -869,7 +834,7 @@ mod tests {
         }
         // The other types explain as satisfiable.
         for ty in [person, student, employee] {
-            assert_eq!(explain_unsat(&t, &ty, BUDGET), Explanation::Satisfiable);
+            assert_eq!(explain_unsat_cx(&t, &ty, &cx()), Explanation::Satisfiable);
         }
     }
 
@@ -884,11 +849,11 @@ mod tests {
         let ri = t.role_inclusion(f, g);
         let dj = t.disjoint(g, g);
         let query = Concept::some(f);
-        match explain_unsat(&t, &query, BUDGET) {
+        match explain_unsat_cx(&t, &query, &cx()) {
             Explanation::Unsat(core) => {
                 assert_eq!(core.axioms, vec![ri, dj]);
                 assert!(core.minimal);
-                assert!(core_refutes(&t, &core, &query, BUDGET));
+                assert!(core_refutes_cx(&t, &core, &query, &cx()));
             }
             other => panic!("expected a core, got {other:?}"),
         }
@@ -904,7 +869,7 @@ mod tests {
         t.gci(b.clone(), c.clone());
         t.gci(c.clone(), Concept::Bottom);
         t.gci(b.clone(), b.clone());
-        let Explanation::Unsat(core) = explain_unsat(&t, &a, BUDGET) else {
+        let Explanation::Unsat(core) = explain_unsat_cx(&t, &a, &cx()) else {
             panic!("A must be unsat");
         };
         assert!(core.minimal);
@@ -913,8 +878,8 @@ mod tests {
             let mut weakened = core.axioms.clone();
             weakened.remove(i);
             assert_eq!(
-                satisfiable(&t.restrict_to(&weakened), &a, BUDGET),
-                DlOutcome::Sat,
+                satisfiable_cx(&t.restrict_to(&weakened), &a, &cx()),
+                SearchOutcome::Sat,
                 "dropping {} should break the refutation",
                 core.axioms[i]
             );
@@ -937,7 +902,7 @@ mod tests {
 
         // A good seed (another element's certified core, here the exact
         // cluster plus one stray axiom) reproduces the cold-path core.
-        let good = explain_unsat_seeded(&t, &phd, BUDGET, &[g1, g2, g3, n1]);
+        let good = explain_unsat_seeded_cx(&t, &phd, &cx(), &[g1, g2, g3, n1]);
         match good {
             Explanation::Unsat(core) => {
                 assert_eq!(core.axioms, vec![g1, g2, g3]);
@@ -947,7 +912,7 @@ mod tests {
         }
         // A non-refuting seed falls back to the cold path and still lands
         // on a certified minimal core.
-        let bad = explain_unsat_seeded(&t, &phd, BUDGET, &[n1, n2]);
+        let bad = explain_unsat_seeded_cx(&t, &phd, &cx(), &[n1, n2]);
         match bad {
             Explanation::Unsat(core) => {
                 assert_eq!(core.axioms, vec![g1, g2, g3]);
@@ -957,7 +922,7 @@ mod tests {
         }
         // Seeding never flips a satisfiable verdict.
         assert_eq!(
-            explain_unsat_seeded(&t, &student, BUDGET, &[g1, g2, g3]),
+            explain_unsat_seeded_cx(&t, &student, &cx(), &[g1, g2, g3]),
             Explanation::Satisfiable
         );
     }
@@ -968,7 +933,7 @@ mod tests {
         let r = RoleExpr::direct(t.role("R"));
         let a = Concept::Atomic(t.atom("A"));
         t.gci(a.clone(), Concept::Exists(r, Box::new(a.clone())));
-        assert_eq!(explain_unsat(&t, &a, 1), Explanation::ResourceLimit);
+        assert_eq!(explain_unsat_cx(&t, &a, &ExecCx::with_steps(1)), Explanation::ResourceLimit);
     }
 
     /// Two independent contradictions on one type: both MUSes enumerated,
@@ -988,7 +953,7 @@ mod tests {
         let g5 = t.gci(phd.clone(), ytra.clone());
         let g6 = t.gci(Concept::and([xtra.clone(), ytra.clone()]), Concept::Bottom);
         t.gci(student.clone(), Concept::Top); // noise
-        let MusEnumeration::Unsat(family) = enumerate_mus(&t, &phd, BUDGET, usize::MAX) else {
+        let MusEnumeration::Unsat(family) = enumerate_mus_cx(&t, &phd, &cx(), usize::MAX) else {
             panic!("Phd is doomed");
         };
         assert!(family.complete && !family.truncated, "{family:?}");
@@ -997,7 +962,7 @@ mod tests {
         assert_eq!(sets, vec![vec![g1, g2, g3], vec![g4, g5, g6]]);
         for core in &family.cores {
             assert!(core.minimal);
-            assert!(core_refutes(&t, core, &phd, BUDGET));
+            assert!(core_refutes_cx(&t, core, &phd, &cx()));
         }
     }
 
@@ -1011,14 +976,14 @@ mod tests {
         t.gci(a.clone(), Concept::Bottom);
         t.gci(a.clone(), b.clone());
         t.gci(b.clone(), Concept::Bottom);
-        let MusEnumeration::Unsat(family) = enumerate_mus(&t, &a, BUDGET, 1) else {
+        let MusEnumeration::Unsat(family) = enumerate_mus_cx(&t, &a, &cx(), 1) else {
             panic!("A is doomed");
         };
         assert_eq!(family.cores.len(), 1);
         assert!(family.truncated);
         assert!(!family.complete);
         // With room for both the truncation flag clears.
-        let MusEnumeration::Unsat(full) = enumerate_mus(&t, &a, BUDGET, 2) else {
+        let MusEnumeration::Unsat(full) = enumerate_mus_cx(&t, &a, &cx(), 2) else {
             panic!("A is doomed");
         };
         assert_eq!(full.cores.len(), 2);
@@ -1033,10 +998,13 @@ mod tests {
         let a = Concept::Atomic(t.atom("A"));
         let b = Concept::Atomic(t.atom("B"));
         t.gci(a.clone(), b.clone());
-        assert_eq!(enumerate_mus(&t, &a, BUDGET, usize::MAX), MusEnumeration::Satisfiable);
+        assert_eq!(enumerate_mus_cx(&t, &a, &cx(), usize::MAX), MusEnumeration::Satisfiable);
         let r = RoleExpr::direct(t.role("R"));
         t.gci(a.clone(), Concept::Exists(r, Box::new(a.clone())));
-        assert_eq!(enumerate_mus(&t, &a, 1, usize::MAX), MusEnumeration::ResourceLimit);
+        assert_eq!(
+            enumerate_mus_cx(&t, &a, &ExecCx::with_steps(1), usize::MAX),
+            MusEnumeration::ResourceLimit
+        );
     }
 
     /// The self-contradictory query's family is the single empty core —
@@ -1047,14 +1015,14 @@ mod tests {
         let a = Concept::Atomic(t.atom("A"));
         t.gci(a.clone(), Concept::Top);
         let query = Concept::and([a.clone(), Concept::not(a.clone())]);
-        let MusEnumeration::Unsat(family) = enumerate_mus(&t, &query, BUDGET, usize::MAX) else {
+        let MusEnumeration::Unsat(family) = enumerate_mus_cx(&t, &query, &cx(), usize::MAX) else {
             panic!("self-contradiction");
         };
         assert_eq!(family.cores.len(), 1);
         assert!(family.cores[0].is_empty());
         assert!(family.complete);
         assert!(repair_sets(&family.cores).is_empty());
-        assert!(ranked_repairs(&t, &query, BUDGET, &family).is_empty());
+        assert!(ranked_repairs_cx(&t, &query, &cx(), &family).is_empty());
     }
 
     /// Hitting sets of a two-core family: singletons for the shared
@@ -1074,11 +1042,11 @@ mod tests {
         t.gci(phd.clone(), xtra.clone());
         t.gci(phd.clone(), ytra.clone());
         t.gci(Concept::and([xtra.clone(), ytra.clone()]), Concept::Bottom);
-        let MusEnumeration::Unsat(family) = enumerate_mus(&t, &phd, BUDGET, usize::MAX) else {
+        let MusEnumeration::Unsat(family) = enumerate_mus_cx(&t, &phd, &cx(), usize::MAX) else {
             panic!("Phd is doomed");
         };
         assert_eq!(family.cores.len(), 2);
-        let repairs = ranked_repairs(&t, &phd, BUDGET, &family);
+        let repairs = ranked_repairs_cx(&t, &phd, &cx(), &family);
         // 3 × 3 single-axiom picks, one from each independent core.
         assert_eq!(repairs.len(), 9);
         for repair in &repairs {
@@ -1091,10 +1059,10 @@ mod tests {
                 );
             }
             let keep: Vec<AxiomId> = t.axiom_ids().filter(|a| !repair.axioms.contains(a)).collect();
-            assert_eq!(satisfiable(&t.restrict_to(&keep), &phd, BUDGET), DlOutcome::Sat);
+            assert_eq!(satisfiable_cx(&t.restrict_to(&keep), &phd, &cx()), SearchOutcome::Sat);
         }
         // Ranking is deterministic: a re-run reproduces the order.
-        assert_eq!(repairs, ranked_repairs(&t, &phd, BUDGET, &family));
+        assert_eq!(repairs, ranked_repairs_cx(&t, &phd, &cx(), &family));
     }
 
     /// Recency ranking puts the repair touching the *latest* edit first.
@@ -1106,11 +1074,11 @@ mod tests {
         let early = t.gci(a.clone(), b.clone());
         let late = t.gci(b.clone(), Concept::Bottom);
         assert!(t.axiom_recency(early) < t.axiom_recency(late));
-        let MusEnumeration::Unsat(family) = enumerate_mus(&t, &a, BUDGET, usize::MAX) else {
+        let MusEnumeration::Unsat(family) = enumerate_mus_cx(&t, &a, &cx(), usize::MAX) else {
             panic!("A is doomed");
         };
         assert_eq!(family.cores.len(), 1);
-        let repairs = ranked_repairs(&t, &a, BUDGET, &family);
+        let repairs = ranked_repairs_cx(&t, &a, &cx(), &family);
         assert_eq!(repairs.len(), 2);
         assert_eq!(repairs[0].axioms, vec![late], "latest edit should rank first");
         assert_eq!(repairs[1].axioms, vec![early]);

@@ -16,15 +16,15 @@
 //! * [`tableau`] — a sound and terminating tableau procedure with pairwise
 //!   blocking, successor merging, a rule budget, trail-based backtracking,
 //!   dependency-directed backjumping and per-fact **axiom-usage tracking**
-//!   ([`tableau::satisfiable_with_conflict`] reports which axioms a
+//!   ([`tableau::satisfiable_with_conflict_cx`] reports which axioms a
 //!   refutation rested on); the retained clone-per-branch baseline lives
 //!   in [`classic`] for differential testing;
 //! * [`explain`] — minimal **unsat cores**: the tableau's conflict axioms
 //!   verified and deletion-minimized, so an `Unsat` verdict names the
 //!   exact axiom set that causes it; MARCO-style **MUS enumeration**
-//!   ([`explain::enumerate_mus`]) lifts one core to the whole family of
+//!   ([`explain::enumerate_mus_cx`]) lifts one core to the whole family of
 //!   independent contradictions, and minimal **hitting-set repairs**
-//!   ([`explain::ranked_repairs`]) name the axiom sets whose removal is
+//!   ([`explain::ranked_repairs_cx`]) name the axiom sets whose removal is
 //!   re-proved to restore satisfiability (guarantees in
 //!   `docs/EXPLANATIONS.md`);
 //! * [`cache`] — a [`SatCache`] memoizing verdicts per interned root
@@ -39,15 +39,15 @@
 //!   across constraint additions ([`Translation::edit`]);
 //! * [`exec`] — the unified execution context [`ExecCx`]: a step budget,
 //!   an optional wall-clock deadline, a shared hierarchical
-//!   [`CancelToken`] and a [`Meter`] of work counters, consumed by every
-//!   `_cx` entry point in the stack. The tableau checks it cooperatively
+//!   [`CancelToken`] and a [`Meter`] of work counters — the one way to
+//!   call every engine entry point in the stack. The tableau checks it cooperatively
 //!   at worklist pops and choice points, so [`tableau::SearchOutcome`]
 //!   can distinguish `Cancelled` / `DeadlineExceeded` from a plain
 //!   `BudgetExhausted` — and caches never record interrupted runs;
 //! * [`par`] — a work-stealing scoped-thread scheduler
 //!   ([`par::fan_out_cx`], with [`par::fan_out`] as the unlimited-context
 //!   wrapper) driving the parallel query batteries
-//!   [`Translation::classify_par`] and [`Translation::role_sweep_par`]:
+//!   [`Translation::classify_par_cx`] and [`Translation::role_sweep_par_cx`]:
 //!   per-worker deques, steal-on-empty, and cooperative cancellation
 //!   between items;
 //! * [`saturation`] — a third engine beside the tableau and the bounded
@@ -60,7 +60,7 @@
 //!   are memoized in revision-stamped [`SaturationShards`];
 //! * [`orm_to_dl`] — the schema translation, recording an
 //!   [`AxiomOrigin`] per emitted axiom so unsat cores map back to the
-//!   ORM constructs that caused them ([`Translation::explain_unsat`] /
+//!   ORM constructs that caused them ([`Translation::explain_unsat_cx`] /
 //!   [`Translation::core_origins`]). Ring constraints, value
 //!   constraints and spanning frequency constraints are reported as
 //!   *unmapped* — the same expressivity gap the paper concedes for DLR
@@ -68,8 +68,9 @@
 //!
 //! ```
 //! use orm_dl::concept::{Concept, RoleExpr};
+//! use orm_dl::exec::ExecCx;
 //! use orm_dl::tbox::TBox;
-//! use orm_dl::tableau::{satisfiable, DlOutcome};
+//! use orm_dl::tableau::{satisfiable_cx, SearchOutcome};
 //!
 //! let mut tbox = TBox::new();
 //! let a = tbox.atom("A");
@@ -77,7 +78,8 @@
 //! // A ⊑ B and A ⊓ ¬B unsatisfiable.
 //! tbox.gci(Concept::Atomic(a), Concept::Atomic(b));
 //! let query = Concept::and([Concept::Atomic(a), Concept::not(Concept::Atomic(b))]);
-//! assert_eq!(satisfiable(&tbox, &query, 100_000), DlOutcome::Unsat);
+//! let cx = ExecCx::with_steps(100_000);
+//! assert_eq!(satisfiable_cx(&tbox, &query, &cx), SearchOutcome::Unsat);
 //! let _ = RoleExpr::direct(0);
 //! ```
 
@@ -104,9 +106,8 @@ pub use cache::{CacheStats, RestoreReport, SatCache, SatShards, SnapshotError};
 pub use concept::{Concept, RoleExpr};
 pub use exec::{CancelToken, ExecCx, Interrupt, Meter};
 pub use explain::{
-    enumerate_mus, enumerate_mus_cx, enumerate_mus_seeded, explain_unsat, explain_unsat_cx,
-    explain_unsat_seeded, ranked_repairs, ranked_repairs_cx, repair_sets, Explanation,
-    MusEnumeration, MusFamily, RepairSet, UnsatCore,
+    enumerate_mus_cx, enumerate_mus_seeded_cx, explain_unsat_cx, explain_unsat_seeded_cx,
+    ranked_repairs_cx, repair_sets, Explanation, MusEnumeration, MusFamily, RepairSet, UnsatCore,
 };
 pub use orm_to_dl::{translate, AxiomOrigin, EditSession, Translation};
 pub use saturation::{
@@ -114,8 +115,7 @@ pub use saturation::{
     SaturationShards, SaturationTarget,
 };
 pub use tableau::{
-    satisfiable, satisfiable_cx, satisfiable_with_conflict, satisfiable_with_conflict_cx,
-    satisfiable_with_witness, satisfiable_with_witness_cx, subsumes, subsumes_cx, DlOutcome,
-    SearchOutcome, Witness,
+    satisfiable_cx, satisfiable_with_conflict_cx, satisfiable_with_witness_cx, subsumes_cx,
+    DlOutcome, SearchOutcome, Witness,
 };
 pub use tbox::{AdditionDelta, AxiomId, AxiomKind, AxiomRef, Delta, EditKind, RoleClosure, TBox};

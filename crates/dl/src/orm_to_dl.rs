@@ -34,10 +34,10 @@ use crate::cache::{CacheStats, RestoreReport, SatShards, SnapshotError};
 use crate::concept::{Concept, RoleExpr};
 use crate::exec::{ExecCx, Interrupt};
 use crate::explain::{
-    ranked_repairs, ranked_repairs_cx, Explanation, MusEnumeration, MusFamily, RepairSet, UnsatCore,
+    ranked_repairs_cx, Explanation, MusEnumeration, MusFamily, RepairSet, UnsatCore,
 };
-use crate::par::{fan_out, fan_out_cx, SchedStats};
-use crate::tableau::{DlOutcome, SearchOutcome};
+use crate::par::{fan_out_cx, SchedStats};
+use crate::tableau::SearchOutcome;
 use crate::tbox::{AxiomId, TBox};
 use orm_model::{
     Constraint, ConstraintId, FactTypeId, ObjectTypeId, RoleId, Schema, SetComparisonKind,
@@ -111,13 +111,13 @@ pub enum AxiomOrigin {
 
 /// The result of translating an ORM schema.
 ///
-/// All satisfiability helpers ([`Translation::type_satisfiable`],
-/// [`Translation::role_satisfiable`], [`Translation::type_subsumed_by`],
-/// [`Translation::classify`]) answer through one sharded verdict cache
+/// All satisfiability helpers ([`Translation::type_satisfiable_cx`],
+/// [`Translation::role_satisfiable_cx`], [`Translation::type_subsumed_by_cx`],
+/// [`Translation::classify_cx`]) answer through one sharded verdict cache
 /// ([`SatShards`]), so the per-role sweeps and `O(n²)` classification
 /// batteries a schema check runs pay for each distinct root label set
-/// once — and the parallel batteries ([`Translation::classify_par`],
-/// [`Translation::role_sweep_par`]) fan the same queries out across
+/// once — and the parallel batteries ([`Translation::classify_par_cx`],
+/// [`Translation::role_sweep_par_cx`]) fan the same queries out across
 /// worker threads without funneling through one lock. The cache
 /// self-invalidates if `tbox` is ever mutated.
 #[derive(Debug)]
@@ -202,12 +202,15 @@ impl Translation {
 
     /// Explain why `query` is unsatisfiable under the translated TBox: a
     /// minimal unsat core of DL axioms (see [`crate::explain`]), or the
-    /// `Satisfiable`/`ResourceLimit` outcome. Cores are cached beside
-    /// verdicts in the sharded cache, so re-asking is free; map a core to
-    /// its schema-level culprits with [`Translation::core_origins`].
+    /// `Satisfiable`/`ResourceLimit` outcome. The extraction's probes
+    /// inherit `cx`'s budget, deadline and token, and an interrupted run
+    /// surfaces as `ResourceLimit` *without* caching anything (distinguish
+    /// via `cx.check()`). Cores are cached beside verdicts in the sharded
+    /// cache, so re-asking is free; map a core to its schema-level culprits
+    /// with [`Translation::core_origins`].
     ///
     /// ```
-    /// use orm_dl::{translate, AxiomOrigin, Explanation};
+    /// use orm_dl::{translate, AxiomOrigin, ExecCx, Explanation};
     /// use orm_model::SchemaBuilder;
     ///
     /// // Fig. 1: a PhD student must be both Student and Employee, but the
@@ -225,7 +228,8 @@ impl Translation {
     /// let schema = b.finish();
     ///
     /// let t = translate(&schema);
-    /// let Explanation::Unsat(core) = t.explain_type(phd, 100_000) else {
+    /// let cx = ExecCx::with_steps(100_000);
+    /// let Explanation::Unsat(core) = t.explain_type_cx(phd, &cx) else {
     ///     panic!("PhdStudent must be unsatisfiable");
     /// };
     /// let origins = t.core_origins(&core);
@@ -237,31 +241,13 @@ impl Translation {
     ///     .iter()
     ///     .any(|o| matches!(o, AxiomOrigin::Subtype { sub, .. } if *sub == phd)));
     /// ```
-    pub fn explain_unsat(&self, query: &Concept, budget: u64) -> Explanation {
-        self.cache.explain(&self.tbox, query, budget)
-    }
-
-    /// [`Translation::explain_unsat`] under an execution context: the
-    /// extraction's probes inherit `cx`'s budget/deadline/token, and an
-    /// interrupted run surfaces as `ResourceLimit` *without* caching
-    /// anything (distinguish via `cx.check()`).
     pub fn explain_unsat_cx(&self, query: &Concept, cx: &ExecCx) -> Explanation {
         self.cache.explain_cx(&self.tbox, query, cx)
-    }
-
-    /// [`Translation::explain_unsat`] for an object type's concept.
-    pub fn explain_type(&self, ty: ObjectTypeId, budget: u64) -> Explanation {
-        self.explain_unsat(&self.type_concept(ty), budget)
     }
 
     /// [`Translation::explain_unsat_cx`] for an object type's concept.
     pub fn explain_type_cx(&self, ty: ObjectTypeId, cx: &ExecCx) -> Explanation {
         self.explain_unsat_cx(&self.type_concept(ty), cx)
-    }
-
-    /// [`Translation::explain_unsat`] for a role's `∃dir(r).⊤` concept.
-    pub fn explain_role(&self, role: RoleId, budget: u64) -> Explanation {
-        self.explain_unsat(&self.role_concept(role), budget)
     }
 
     /// [`Translation::explain_unsat_cx`] for a role's `∃dir(r).⊤` concept.
@@ -271,35 +257,20 @@ impl Translation {
 
     /// Enumerate the whole **family** of minimal unsat cores of `query` —
     /// every independent contradiction at once, up to `limit` (see
-    /// [`crate::explain::enumerate_mus`]). Families are cached beside the
-    /// `Unsat` verdicts in the sharded cache and warm-started across
-    /// elements through its seed pool; map each core to schema-level
+    /// [`crate::explain::enumerate_mus_cx`]). Families are cached beside
+    /// the `Unsat` verdicts in the sharded cache and warm-started across
+    /// elements through its seed pool; enumeration stops cleanly
+    /// mid-family on an interrupt, keeping the certified cores found so
+    /// far (truncated, never uncertified). Map each core to schema-level
     /// culprits with [`Translation::core_origins`] and compute candidate
-    /// fixes with [`Translation::repairs_for`].
-    pub fn enumerate_unsat(&self, query: &Concept, budget: u64, limit: usize) -> MusEnumeration {
-        self.cache.enumerate(&self.tbox, query, budget, limit)
-    }
-
-    /// [`Translation::enumerate_unsat`] under an execution context:
-    /// enumeration stops cleanly mid-family on an interrupt, keeping the
-    /// certified cores found so far (truncated, never uncertified).
+    /// fixes with [`Translation::repairs_for_cx`].
     pub fn enumerate_unsat_cx(&self, query: &Concept, cx: &ExecCx, limit: usize) -> MusEnumeration {
         self.cache.enumerate_cx(&self.tbox, query, cx, limit)
-    }
-
-    /// [`Translation::enumerate_unsat`] for an object type's concept.
-    pub fn enumerate_type(&self, ty: ObjectTypeId, budget: u64, limit: usize) -> MusEnumeration {
-        self.enumerate_unsat(&self.type_concept(ty), budget, limit)
     }
 
     /// [`Translation::enumerate_unsat_cx`] for an object type's concept.
     pub fn enumerate_type_cx(&self, ty: ObjectTypeId, cx: &ExecCx, limit: usize) -> MusEnumeration {
         self.enumerate_unsat_cx(&self.type_concept(ty), cx, limit)
-    }
-
-    /// [`Translation::enumerate_unsat`] for a role's `∃dir(r).⊤` concept.
-    pub fn enumerate_role(&self, role: RoleId, budget: u64, limit: usize) -> MusEnumeration {
-        self.enumerate_unsat(&self.role_concept(role), budget, limit)
     }
 
     /// [`Translation::enumerate_unsat_cx`] for a role's `∃dir(r).⊤` concept.
@@ -308,19 +279,12 @@ impl Translation {
     }
 
     /// The verified, recency-ranked repairs of an enumerated family for
-    /// `query` ([`crate::explain::ranked_repairs`]): each ⊆-minimal
+    /// `query` ([`crate::explain::ranked_repairs_cx`]): each ⊆-minimal
     /// hitting set over the family's cores, kept only when removing its
     /// axioms is re-proved to make `query` satisfiable, ranked most
-    /// recent edit first. Map each repair's axioms to the ORM constructs
-    /// a modeler would actually drop with
-    /// [`Translation::repair_origins`].
-    pub fn repairs_for(&self, query: &Concept, budget: u64, family: &MusFamily) -> Vec<RepairSet> {
-        ranked_repairs(&self.tbox, query, budget, family)
-    }
-
-    /// [`Translation::repairs_for`] under an execution context: an
-    /// interrupt drops the unverified candidate repairs; every returned
-    /// repair is still individually re-proved to restore satisfiability.
+    /// recent edit first. An interrupt drops the unverified candidates.
+    /// Map each repair's axioms to the ORM constructs a modeler would
+    /// actually drop with [`Translation::repair_origins`].
     pub fn repairs_for_cx(
         &self,
         query: &Concept,
@@ -362,13 +326,7 @@ impl Translation {
     }
 
     /// Satisfiability of an object type under the translation (cached).
-    pub fn type_satisfiable(&self, ty: ObjectTypeId, budget: u64) -> DlOutcome {
-        let query = self.type_concept(ty);
-        self.cache.satisfiable(&self.tbox, &query, budget)
-    }
-
-    /// [`Translation::type_satisfiable`] under an execution context —
-    /// interrupted runs surface as the distinct [`SearchOutcome`]
+    /// Interrupted runs surface as the distinct [`SearchOutcome`]
     /// variants and leave no cache entry behind.
     pub fn type_satisfiable_cx(&self, ty: ObjectTypeId, cx: &ExecCx) -> SearchOutcome {
         let query = self.type_concept(ty);
@@ -376,12 +334,6 @@ impl Translation {
     }
 
     /// Satisfiability of a role under the translation (cached).
-    pub fn role_satisfiable(&self, role: RoleId, budget: u64) -> DlOutcome {
-        let query = self.role_concept(role);
-        self.cache.satisfiable(&self.tbox, &query, budget)
-    }
-
-    /// [`Translation::role_satisfiable`] under an execution context.
     pub fn role_satisfiable_cx(&self, role: RoleId, cx: &ExecCx) -> SearchOutcome {
         let query = self.role_concept(role);
         self.cache.satisfiable_cx(&self.tbox, &query, cx)
@@ -389,20 +341,9 @@ impl Translation {
 
     /// Whether the constraints force every `sub` instance to be a `sup`
     /// instance — *derived* subsumption, beyond the declared subtype links.
-    /// `None` when the budget ran out. Cached: re-asking any pair is free.
-    pub fn type_subsumed_by(
-        &self,
-        sub: ObjectTypeId,
-        sup: ObjectTypeId,
-        budget: u64,
-    ) -> Option<bool> {
-        let (sup_c, sub_c) = (self.type_concept(sup), self.type_concept(sub));
-        self.cache.subsumes(&self.tbox, &sup_c, &sub_c, budget)
-    }
-
-    /// [`Translation::type_subsumed_by`] under an execution context:
-    /// `Ok(None)` when the per-proof step budget ran out, `Err` when the
-    /// context was cancelled or hit its deadline mid-proof.
+    /// Cached: re-asking any pair is free. `Ok(None)` when the per-proof
+    /// step budget ran out, `Err` when the context was cancelled or hit
+    /// its deadline mid-proof.
     pub fn type_subsumed_by_cx(
         &self,
         sub: ObjectTypeId,
@@ -431,19 +372,10 @@ impl Translation {
 
     /// Classify the schema's object types: all derived subsumption pairs
     /// `(sub, sup)` with `sub ≠ sup`, including ones no subtype link
-    /// declares (e.g. forced by mandatory/typing interplay). Inconclusive
-    /// pairs (budget) are omitted.
-    pub fn classify(&self, schema: &Schema, budget: u64) -> Vec<(ObjectTypeId, ObjectTypeId)> {
-        self.classify_pairs(schema)
-            .into_iter()
-            .filter(|&(sub, sup)| self.type_subsumed_by(sub, sup, budget) == Some(true))
-            .collect()
-    }
-
-    /// [`Translation::classify`] under an execution context: pairs whose
-    /// proofs were interrupted or starved are omitted (like inconclusive
-    /// pairs in the legacy API); once the context trips, the remaining
-    /// pairs fail fast without recording cache entries.
+    /// declares (e.g. forced by mandatory/typing interplay). Pairs whose
+    /// proofs starved or were interrupted are omitted; once the context
+    /// trips, the remaining pairs fail fast without recording cache
+    /// entries.
     pub fn classify_cx(&self, schema: &Schema, cx: &ExecCx) -> Vec<(ObjectTypeId, ObjectTypeId)> {
         self.classify_pairs(schema)
             .into_iter()
@@ -451,30 +383,14 @@ impl Translation {
             .collect()
     }
 
-    /// [`Translation::classify`] fanned out over up to `threads` scoped
-    /// worker threads (see [`crate::par::fan_out`]): the `O(n²)`
-    /// subsumption queries are independent, and the sharded cache lets
-    /// workers answer them without funneling through one lock. Returns
-    /// the identical pair set in the identical order — the differential
-    /// suites compare the two verdict for verdict.
-    pub fn classify_par(
-        &self,
-        schema: &Schema,
-        budget: u64,
-        threads: usize,
-    ) -> Vec<(ObjectTypeId, ObjectTypeId)> {
-        let pairs = self.classify_pairs(schema);
-        let verdicts = fan_out(&pairs, threads, |_, &(sub, sup)| {
-            self.type_subsumed_by(sub, sup, budget) == Some(true)
-        });
-        pairs.into_iter().zip(verdicts).filter_map(|(pair, keep)| keep.then_some(pair)).collect()
-    }
-
     /// [`Translation::classify_cx`] fanned out through the work-stealing
-    /// scheduler ([`crate::par::fan_out_cx`]). Returns the derived pairs
-    /// (identical set and order to the sequential run when uninterrupted)
-    /// plus the scheduler's counters; pairs skipped after an interrupt
-    /// are simply omitted, and no shard records an entry for them.
+    /// scheduler ([`crate::par::fan_out_cx`]): the `O(n²)` subsumption
+    /// queries are independent, and the sharded cache lets workers answer
+    /// them without funneling through one lock. Returns the derived pairs
+    /// (identical set and order to the sequential run when uninterrupted —
+    /// the differential suites compare the two verdict for verdict) plus
+    /// the scheduler's counters; pairs skipped after an interrupt are
+    /// simply omitted, and no shard records an entry for them.
     pub fn classify_par_cx(
         &self,
         schema: &Schema,
@@ -495,47 +411,23 @@ impl Translation {
 
     /// The per-role satisfiability sweep: `∃dir(r).⊤` proved for every
     /// role of the schema, in `schema.roles()` order — the battery a
-    /// whole-schema check runs.
-    pub fn role_sweep(&self, schema: &Schema, budget: u64) -> Vec<(RoleId, DlOutcome)> {
-        schema.roles().map(|(role, _)| (role, self.role_satisfiable(role, budget))).collect()
-    }
-
-    /// [`Translation::role_sweep`] under an execution context. Once the
-    /// context trips, the remaining roles report the interrupt variant
-    /// immediately (no proof attempted, nothing cached) — the sweep
-    /// stays full-length so callers can see exactly which roles got a
-    /// verdict.
+    /// whole-schema check runs. Once the context trips, the remaining
+    /// roles report the interrupt variant immediately (no proof attempted,
+    /// nothing cached) — the sweep stays full-length so callers can see
+    /// exactly which roles got a verdict.
     pub fn role_sweep_cx(&self, schema: &Schema, cx: &ExecCx) -> Vec<(RoleId, SearchOutcome)> {
         schema.roles().map(|(role, _)| (role, self.role_satisfiable_cx(role, cx))).collect()
     }
 
     /// The per-type satisfiability sweep, in `schema.object_types()`
-    /// order — the sibling battery to [`Translation::role_sweep`].
-    pub fn type_sweep(&self, schema: &Schema, budget: u64) -> Vec<(ObjectTypeId, DlOutcome)> {
-        schema.object_types().map(|(ty, _)| (ty, self.type_satisfiable(ty, budget))).collect()
-    }
-
-    /// [`Translation::type_sweep`] under an execution context (see
-    /// [`Translation::role_sweep_cx`] for interrupt semantics).
+    /// order — the sibling battery to [`Translation::role_sweep_cx`] (same
+    /// interrupt semantics).
     pub fn type_sweep_cx(
         &self,
         schema: &Schema,
         cx: &ExecCx,
     ) -> Vec<(ObjectTypeId, SearchOutcome)> {
         schema.object_types().map(|(ty, _)| (ty, self.type_satisfiable_cx(ty, cx))).collect()
-    }
-
-    /// [`Translation::role_sweep`] fanned out over up to `threads` scoped
-    /// worker threads. Same verdicts, same order.
-    pub fn role_sweep_par(
-        &self,
-        schema: &Schema,
-        budget: u64,
-        threads: usize,
-    ) -> Vec<(RoleId, DlOutcome)> {
-        let roles: Vec<RoleId> = schema.roles().map(|(role, _)| role).collect();
-        let verdicts = fan_out(&roles, threads, |_, &role| self.role_satisfiable(role, budget));
-        roles.into_iter().zip(verdicts).collect()
     }
 
     /// [`Translation::role_sweep_cx`] fanned out through the
@@ -570,7 +462,7 @@ impl Translation {
     /// editor-in-the-loop flow re-runs its sweeps against warm shards.
     ///
     /// ```
-    /// use orm_dl::{translate, DlOutcome};
+    /// use orm_dl::{translate, ExecCx, SearchOutcome};
     /// use orm_model::SchemaBuilder;
     ///
     /// let mut b = SchemaBuilder::new("s");
@@ -582,13 +474,14 @@ impl Translation {
     /// let schema = b.finish();
     ///
     /// let mut t = translate(&schema);
-    /// let sweep = t.type_sweep(&schema, 100_000);
-    /// assert!(sweep.iter().all(|(_, v)| *v == DlOutcome::Sat));
+    /// let cx = ExecCx::with_steps(100_000);
+    /// let sweep = t.type_sweep_cx(&schema, &cx);
+    /// assert!(sweep.iter().all(|(_, v)| *v == SearchOutcome::Sat));
     ///
     /// // The modeler adds one exclusion; the re-run sweep replays the
     /// // unaffected verdicts from the surviving cache entries.
     /// t.edit().add_type_exclusion(student, employee);
-    /// assert_eq!(t.type_satisfiable(person, 100_000), DlOutcome::Sat);
+    /// assert_eq!(t.type_satisfiable_cx(person, &cx), SearchOutcome::Sat);
     /// let stats = t.cache_stats();
     /// assert_eq!(stats.invalidations, 0);
     /// assert!(stats.revalidated > 0);
@@ -903,7 +796,14 @@ mod tests {
     use super::*;
     use orm_model::{RingKind, RoleSeq, SchemaBuilder, ValueConstraint};
 
+    use crate::tableau::DlOutcome;
+
     const BUDGET: u64 = 500_000;
+
+    /// The per-proof context every query below runs under.
+    fn cx() -> ExecCx {
+        ExecCx::with_steps(BUDGET)
+    }
 
     #[test]
     fn fig1_phd_student_unsat_in_dl() {
@@ -919,9 +819,9 @@ mod tests {
         b.exclusive_types([student, employee]).unwrap();
         let s = b.finish();
         let t = translate(&s);
-        assert_eq!(t.type_satisfiable(phd, BUDGET), DlOutcome::Unsat);
+        assert_eq!(t.type_satisfiable_cx(phd, &cx()), SearchOutcome::Unsat);
         for ty in [person, student, employee] {
-            assert_eq!(t.type_satisfiable(ty, BUDGET), DlOutcome::Sat);
+            assert_eq!(t.type_satisfiable_cx(ty, &cx()), SearchOutcome::Sat);
         }
     }
 
@@ -936,8 +836,8 @@ mod tests {
         b.subtype(c, bb).unwrap();
         let s = b.finish();
         let t = translate(&s);
-        assert_eq!(t.type_satisfiable(c, BUDGET), DlOutcome::Unsat);
-        assert_eq!(t.type_satisfiable(a, BUDGET), DlOutcome::Sat);
+        assert_eq!(t.type_satisfiable_cx(c, &cx()), SearchOutcome::Unsat);
+        assert_eq!(t.type_satisfiable_cx(a, &cx()), SearchOutcome::Sat);
     }
 
     #[test]
@@ -955,8 +855,8 @@ mod tests {
         b.exclusion_roles([r1, r3]).unwrap();
         let s = b.finish();
         let t = translate(&s);
-        assert_eq!(t.role_satisfiable(r3, BUDGET), DlOutcome::Unsat);
-        assert_eq!(t.role_satisfiable(r1, BUDGET), DlOutcome::Sat);
+        assert_eq!(t.role_satisfiable_cx(r3, &cx()), SearchOutcome::Unsat);
+        assert_eq!(t.role_satisfiable_cx(r1, &cx()), SearchOutcome::Sat);
     }
 
     #[test]
@@ -971,7 +871,7 @@ mod tests {
         b.frequency([r1], 2, Some(5)).unwrap();
         let s = b.finish();
         let t = translate(&s);
-        assert_eq!(t.role_satisfiable(r1, BUDGET), DlOutcome::Unsat);
+        assert_eq!(t.role_satisfiable_cx(r1, &cx()), SearchOutcome::Unsat);
     }
 
     #[test]
@@ -988,8 +888,8 @@ mod tests {
         b.subset(RoleSeq::single(r1), RoleSeq::single(r3)).unwrap();
         let s = b.finish();
         let t = translate(&s);
-        assert_eq!(t.role_satisfiable(r1, BUDGET), DlOutcome::Unsat);
-        assert_eq!(t.role_satisfiable(r3, BUDGET), DlOutcome::Sat);
+        assert_eq!(t.role_satisfiable_cx(r1, &cx()), SearchOutcome::Unsat);
+        assert_eq!(t.role_satisfiable_cx(r3, &cx()), SearchOutcome::Sat);
     }
 
     #[test]
@@ -1007,7 +907,7 @@ mod tests {
         let t = translate(&s);
         // Pattern 6's Fig. 8 through the DL: populating f1 forces an f2
         // tuple with a shared r1/r3 player.
-        assert_eq!(t.role_satisfiable(r1, BUDGET), DlOutcome::Unsat);
+        assert_eq!(t.role_satisfiable_cx(r1, &cx()), SearchOutcome::Unsat);
         let _ = r4;
     }
 
@@ -1025,7 +925,7 @@ mod tests {
         // And — illustrating the gap — the DL side considers the ring-doomed
         // fact satisfiable.
         let r = s.fact_type(f).first();
-        assert_eq!(t.role_satisfiable(r, BUDGET), DlOutcome::Sat);
+        assert_eq!(t.role_satisfiable_cx(r, &cx()), SearchOutcome::Sat);
     }
 
     #[test]
@@ -1051,7 +951,7 @@ mod tests {
         let s = b.finish();
         let t = translate(&s);
         for r in [r1, r3, r5] {
-            assert_eq!(t.role_satisfiable(r, BUDGET), DlOutcome::Sat, "role {r}");
+            assert_eq!(t.role_satisfiable_cx(r, &cx()), SearchOutcome::Sat, "role {r}");
         }
     }
 
@@ -1063,9 +963,9 @@ mod tests {
         b.subtype(student, person).unwrap();
         let s = b.finish();
         let t = translate(&s);
-        assert_eq!(t.type_subsumed_by(student, person, BUDGET), Some(true));
-        assert_eq!(t.type_subsumed_by(person, student, BUDGET), Some(false));
-        assert_eq!(t.classify(&s, BUDGET), vec![(student, person)]);
+        assert_eq!(t.type_subsumed_by_cx(student, person, &cx()), Ok(Some(true)));
+        assert_eq!(t.type_subsumed_by_cx(person, student, &cx()), Ok(Some(false)));
+        assert_eq!(t.classify_cx(&s, &cx()), vec![(student, person)]);
     }
 
     #[test]
@@ -1086,10 +986,10 @@ mod tests {
         let t = translate(&s);
         // phd is unsatisfiable ⇒ subsumed by every type.
         for sup in [person, student, employee] {
-            assert_eq!(t.type_subsumed_by(phd, sup, BUDGET), Some(true));
+            assert_eq!(t.type_subsumed_by_cx(phd, sup, &cx()), Ok(Some(true)));
         }
         // But student is NOT subsumed by employee.
-        assert_eq!(t.type_subsumed_by(student, employee, BUDGET), Some(false));
+        assert_eq!(t.type_subsumed_by_cx(student, employee, &cx()), Ok(Some(false)));
     }
 
     #[test]
@@ -1100,13 +1000,13 @@ mod tests {
         b.subtype(student, person).unwrap();
         let s = b.finish();
         let t = translate(&s);
-        assert_eq!(t.type_satisfiable(person, BUDGET), DlOutcome::Sat);
+        assert_eq!(t.type_satisfiable_cx(person, &cx()), SearchOutcome::Sat);
         let clone = t.clone();
         // The clone starts cold; its queries must not disturb the
         // original's entries (the clone's TBox has a fresh cache uid).
         assert_eq!(clone.cache_stats(), crate::cache::CacheStats::default());
-        assert_eq!(clone.type_satisfiable(person, BUDGET), DlOutcome::Sat);
-        assert_eq!(t.type_satisfiable(person, BUDGET), DlOutcome::Sat);
+        assert_eq!(clone.type_satisfiable_cx(person, &cx()), SearchOutcome::Sat);
+        assert_eq!(t.type_satisfiable_cx(person, &cx()), SearchOutcome::Sat);
         let stats = t.cache_stats();
         assert_eq!(stats.invalidations, 0, "clone thrashed the original's cache");
         assert_eq!(stats.hits, 1);
@@ -1126,13 +1026,13 @@ mod tests {
         b.exclusive_types([student, employee]).unwrap();
         let s = b.finish();
         let t = translate(&s);
-        let sequential = t.classify(&s, BUDGET);
+        let sequential = t.classify_cx(&s, &cx());
         for threads in [1, 2, 4, 8] {
             // Cold cache per run (clone mints a fresh one), then a warm
             // replay on the same translation.
             let fresh = t.clone();
-            assert_eq!(fresh.classify_par(&s, BUDGET, threads), sequential, "{threads} cold");
-            assert_eq!(fresh.classify_par(&s, BUDGET, threads), sequential, "{threads} warm");
+            assert_eq!(fresh.classify_par_cx(&s, &cx(), threads).0, sequential, "{threads} cold");
+            assert_eq!(fresh.classify_par_cx(&s, &cx(), threads).0, sequential, "{threads} warm");
         }
     }
 
@@ -1149,11 +1049,11 @@ mod tests {
         b.exclusion_roles([r1, r3]).unwrap();
         let s = b.finish();
         let t = translate(&s);
-        let sequential = t.role_sweep(&s, BUDGET);
-        assert!(sequential.iter().any(|(_, v)| *v == DlOutcome::Unsat));
+        let sequential = t.role_sweep_cx(&s, &cx());
+        assert!(sequential.iter().any(|(_, v)| *v == SearchOutcome::Unsat));
         for threads in [1, 2, 8] {
             let fresh = t.clone();
-            assert_eq!(fresh.role_sweep_par(&s, BUDGET, threads), sequential);
+            assert_eq!(fresh.role_sweep_par_cx(&s, &cx(), threads).0, sequential);
         }
     }
 
@@ -1169,10 +1069,10 @@ mod tests {
         }
         let s = b.finish();
         let t = translate(&s);
-        t.classify(&s, BUDGET);
+        t.classify_cx(&s, &cx());
         let seq = t.cache_stats();
         let par = t.clone();
-        par.classify_par(&s, BUDGET, 8);
+        par.classify_par_cx(&s, &cx(), 8);
         let stats = par.cache_stats();
         assert_eq!(stats.misses, seq.misses, "parallel battery re-proved a key");
         assert_eq!(stats.hits + stats.misses, seq.hits + seq.misses);
@@ -1195,12 +1095,12 @@ mod tests {
         let s = b.finish();
         let mut t = translate(&s);
         // Warm pass: everything satisfiable before the exclusion lands.
-        for (_, v) in t.type_sweep(&s, BUDGET) {
-            assert_eq!(v, DlOutcome::Sat);
+        for (_, v) in t.type_sweep_cx(&s, &cx()) {
+            assert_eq!(v, SearchOutcome::Sat);
         }
         // The modeler adds the Fig. 1 exclusion through the session.
         t.edit().add_type_exclusion(student, employee);
-        let resweep = t.type_sweep(&s, BUDGET);
+        let resweep = t.type_sweep_cx(&s, &cx());
         assert_eq!(t.cache_stats().invalidations, 0, "addition thrashed the shards");
         assert!(t.cache_stats().retained + t.cache_stats().revalidated > 0);
         // Verdict-for-verdict agreement with a cold translation of the
@@ -1217,12 +1117,12 @@ mod tests {
         fresh_schema.exclusive_types([s2, e2]).unwrap();
         let edited = fresh_schema.finish();
         let cold = translate(&edited);
-        let cold_sweep = cold.type_sweep(&edited, BUDGET);
+        let cold_sweep = cold.type_sweep_cx(&edited, &cx());
         for ((_, warm), (_, coldv)) in resweep.iter().zip(&cold_sweep) {
             assert_eq!(warm, coldv, "warm-shard verdict diverged from cold translation");
         }
         // And the edit actually bit: Phd is now unsatisfiable.
-        assert_eq!(t.type_satisfiable(phd, BUDGET), DlOutcome::Unsat);
+        assert_eq!(t.type_satisfiable_cx(phd, &cx()), SearchOutcome::Unsat);
     }
 
     #[test]
@@ -1239,14 +1139,14 @@ mod tests {
         let r3 = b.schema().fact_type(f2).first();
         let s = b.finish();
         let mut t = translate(&s);
-        assert_eq!(t.role_satisfiable(r3, BUDGET), DlOutcome::Sat);
+        assert_eq!(t.role_satisfiable_cx(r3, &cx()), SearchOutcome::Sat);
         {
             let mut session = t.edit();
             session.add_mandatory(a, &[r1]);
             session.add_role_exclusion(r1, r3);
         }
-        assert_eq!(t.role_satisfiable(r3, BUDGET), DlOutcome::Unsat);
-        assert_eq!(t.role_satisfiable(r1, BUDGET), DlOutcome::Sat);
+        assert_eq!(t.role_satisfiable_cx(r3, &cx()), SearchOutcome::Unsat);
+        assert_eq!(t.role_satisfiable_cx(r1, &cx()), SearchOutcome::Sat);
         assert_eq!(t.cache_stats().invalidations, 0);
     }
 
@@ -1267,7 +1167,7 @@ mod tests {
         let exclusion = b.exclusive_types([student, employee]).unwrap();
         let s = b.finish();
         let t = translate(&s);
-        let crate::explain::Explanation::Unsat(core) = t.explain_type(phd, BUDGET) else {
+        let crate::explain::Explanation::Unsat(core) = t.explain_type_cx(phd, &cx()) else {
             panic!("PhdStudent must be unsatisfiable");
         };
         assert!(core.minimal);
@@ -1284,7 +1184,7 @@ mod tests {
         assert!(origins.contains(&&AxiomOrigin::Constraint(exclusion)));
         // Re-explaining is a cache hit, not a re-extraction.
         let before = t.cache_stats();
-        let again = t.explain_type(phd, BUDGET);
+        let again = t.explain_type_cx(phd, &cx());
         assert_eq!(again.core().map(|c| &c.axioms), Some(&core.axioms));
         assert_eq!(t.cache_stats().hits, before.hits + 1);
         assert_eq!(t.cache_stats().misses, before.misses);
@@ -1310,10 +1210,10 @@ mod tests {
             session.add_role_exclusion(r1, r3);
         }
         for (role, _) in s.roles() {
-            let verdict = t.role_satisfiable(role, BUDGET);
-            assert_eq!(t.explain_role(role, BUDGET).verdict(), verdict, "role {role}");
+            let verdict = DlOutcome::from(t.role_satisfiable_cx(role, &cx()));
+            assert_eq!(t.explain_role_cx(role, &cx()).verdict(), verdict, "role {role}");
         }
-        let crate::explain::Explanation::Unsat(core) = t.explain_role(r3, BUDGET) else {
+        let crate::explain::Explanation::Unsat(core) = t.explain_role_cx(r3, &cx()) else {
             panic!("r3 must be unsatisfiable");
         };
         let origins = t.core_origins(&core);
@@ -1335,7 +1235,7 @@ mod tests {
         let s = b.finish();
         let t = translate(&s);
         // "Exactly one of" is satisfiable (unlike double simple mandatory).
-        assert_eq!(t.type_satisfiable(a, BUDGET), DlOutcome::Sat);
-        assert_eq!(t.role_satisfiable(r1, BUDGET), DlOutcome::Sat);
+        assert_eq!(t.type_satisfiable_cx(a, &cx()), SearchOutcome::Sat);
+        assert_eq!(t.role_satisfiable_cx(r1, &cx()), SearchOutcome::Sat);
     }
 }

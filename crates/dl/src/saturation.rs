@@ -707,9 +707,7 @@ fn propagate(
             match c {
                 // A mandatory disjunction with every alternative dead kills
                 // the player.
-                Constraint::Mandatory(m)
-                    if m.roles.iter().all(|r| doom.roles.contains_key(r)) =>
-                {
+                Constraint::Mandatory(m) if m.roles.iter().all(|r| doom.roles.contains_key(r)) => {
                     let mut origins = Vec::new();
                     for r in &m.roles {
                         origins.extend(doom.roles[r].origins.clone());

@@ -47,22 +47,24 @@
 //!   the disjointness declarations. A clash's conflict therefore reports
 //!   not just *which choices* but *which axioms* it used — the seed
 //!   [`crate::explain`] shrinks into a minimal unsat core. The sets are
-//!   over-approximations by construction; only [`satisfiable_with_conflict`]
-//!   pays for building them (the plain entry points run with empty masks).
+//!   over-approximations by construction; only
+//!   [`satisfiable_with_conflict_cx`] pays for building them (the plain
+//!   entry points run with empty masks).
 //!
 //! # Budget semantics
 //!
-//! `budget` counts **rule applications**, exactly as in the original
-//! engine: one unit per scheduler step — processing one dirty node
-//! (`∀`-propagation plus that node's clash checks), opening one
-//! non-deterministic choice point (`⊔` or `≤`), applying one generating
-//! rule (`∃`/`≥`), or certifying completeness at quiescence. The count is
-//! global across all branches of the search, not per branch. When the
-//! budget reaches zero before the search concludes, the verdict is
-//! [`DlOutcome::ResourceLimit`] — never a wrong answer. This is the knob
-//! callers (e.g. `Translation::type_satisfiable`) use to bound the
-//! exponential worst case the paper attributes to complete DL reasoning
-//! (§4).
+//! Every entry point runs under an [`ExecCx`]. Its per-proof step budget
+//! ([`ExecCx::with_steps`]) counts **rule applications**, exactly as in
+//! the original engine: one unit per scheduler step — processing one
+//! dirty node (`∀`-propagation plus that node's clash checks), opening
+//! one non-deterministic choice point (`⊔` or `≤`), applying one
+//! generating rule (`∃`/`≥`), or certifying completeness at quiescence.
+//! The count is global across all branches of the search, not per
+//! branch. When the budget reaches zero before the search concludes, the
+//! verdict is [`SearchOutcome::BudgetExhausted`] — never a wrong answer.
+//! This is the knob callers (e.g. `Translation::type_satisfiable_cx`) use
+//! to bound the exponential worst case the paper attributes to complete
+//! DL reasoning (§4).
 
 use crate::arena::{invert_role_expr, Arena, CKind, ConceptId, RoleExprId};
 use crate::concept::Concept;
@@ -82,7 +84,7 @@ pub enum DlOutcome {
 
 /// Verdict of a context-driven search ([`satisfiable_cx`] and friends):
 /// the two certain answers plus the three *distinct* ways a run can stop
-/// without one. The legacy [`DlOutcome`] collapses all three resource
+/// without one. The three-way [`DlOutcome`] collapses all three resource
 /// variants into `ResourceLimit`; context-aware callers need to tell
 /// them apart — a `BudgetExhausted` is a per-proof policy outcome worth
 /// caching (stamped with the budget it starved at), while `Cancelled`
@@ -130,7 +132,7 @@ impl From<Interrupt> for SearchOutcome {
 }
 
 impl From<SearchOutcome> for DlOutcome {
-    /// Collapse to the legacy three-way verdict: every way of stopping
+    /// Collapse to the three-way verdict: every way of stopping
     /// without an answer is a `ResourceLimit` — never a wrong verdict.
     fn from(outcome: SearchOutcome) -> Self {
         match outcome {
@@ -143,49 +145,23 @@ impl From<SearchOutcome> for DlOutcome {
     }
 }
 
-/// Whether `sub ⊑ sup` follows from the TBox: the standard reduction to
-/// unsatisfiability of `sub ⊓ ¬sup`.
-///
-/// Returns `Some(true/false)` on a definitive answer and `None` when the
-/// budget ran out.
-///
-/// ```
-/// use orm_dl::concept::Concept;
-/// use orm_dl::tableau::subsumes;
-/// use orm_dl::tbox::TBox;
-///
-/// let mut tbox = TBox::new();
-/// let a = Concept::Atomic(tbox.atom("A"));
-/// let b = Concept::Atomic(tbox.atom("B"));
-/// tbox.gci(a.clone(), b.clone());
-/// assert_eq!(subsumes(&tbox, &b, &a, 100_000), Some(true)); // A ⊑ B
-/// assert_eq!(subsumes(&tbox, &a, &b, 100_000), Some(false)); // B ⋢ A
-/// assert_eq!(subsumes(&tbox, &a, &b, 0), None); // out of budget
-/// ```
-///
-/// Repeated subsumption queries against one TBox (classification sweeps)
-/// should go through [`crate::cache::SatCache::subsumes`] instead, which
-/// memoizes verdicts per root label set.
-pub fn subsumes(tbox: &TBox, sup: &Concept, sub: &Concept, budget: u64) -> Option<bool> {
-    let query = Concept::and([sub.clone(), Concept::not(sup.clone())]);
-    match satisfiable(tbox, &query, budget) {
-        DlOutcome::Unsat => Some(true),
-        DlOutcome::Sat => Some(false),
-        DlOutcome::ResourceLimit => None,
-    }
-}
-
-/// Check satisfiability of `query` with respect to `tbox`, spending at most
-/// `budget` rule applications (see the module docs for what one unit of
-/// budget buys).
+/// Check satisfiability of `query` with respect to `tbox` under an
+/// execution context: the per-proof step budget comes from
+/// [`ExecCx::steps`] (see the module docs for what one step buys), the
+/// deadline and cancellation token are checked cooperatively at every
+/// worklist pop and choice point, and the run's step count is flushed into
+/// the context's [`crate::exec::Meter`]. An interrupted run reports the
+/// *distinct* [`SearchOutcome`] variant — never a wrong verdict; callers
+/// wanting the three-way verdict convert with `.into()` to [`DlOutcome`].
 ///
 /// Each call proves its verdict from scratch; batch workloads that re-ask
 /// overlapping queries should route through
-/// [`crate::cache::SatCache::satisfiable`].
+/// [`crate::cache::SatCache::satisfiable_cx`].
 ///
 /// ```
 /// use orm_dl::concept::Concept;
-/// use orm_dl::tableau::{satisfiable, DlOutcome};
+/// use orm_dl::exec::ExecCx;
+/// use orm_dl::tableau::{satisfiable_cx, DlOutcome, SearchOutcome};
 /// use orm_dl::tbox::TBox;
 ///
 /// let mut tbox = TBox::new();
@@ -193,116 +169,103 @@ pub fn subsumes(tbox: &TBox, sup: &Concept, sub: &Concept, budget: u64) -> Optio
 /// let b = Concept::Atomic(tbox.atom("B"));
 /// tbox.gci(a.clone(), b.clone());
 /// tbox.gci(Concept::and([a.clone(), b.clone()]), Concept::Bottom);
-/// // A ⊑ B together with A ⊓ B ⊑ ⊥ dooms A.
-/// assert_eq!(satisfiable(&tbox, &a, 100_000), DlOutcome::Unsat);
-/// assert_eq!(satisfiable(&tbox, &b, 100_000), DlOutcome::Sat);
-/// ```
-pub fn satisfiable(tbox: &TBox, query: &Concept, budget: u64) -> DlOutcome {
-    let mut engine = Engine::new(tbox, query, budget);
-    if engine.clash.is_some() {
-        return DlOutcome::Unsat;
-    }
-    match engine.search() {
-        SResult::Sat => DlOutcome::Sat,
-        SResult::Unsat(_) => DlOutcome::Unsat,
-        SResult::Limit => DlOutcome::ResourceLimit,
-    }
-}
-
-/// [`satisfiable`] under an execution context: the per-proof step budget
-/// comes from [`ExecCx::steps`], the deadline and cancellation token are
-/// checked cooperatively at every worklist pop and choice point, and the
-/// run's step count is flushed into the context's [`crate::exec::Meter`].
-/// An interrupted run reports the *distinct* [`SearchOutcome`] variant —
-/// never a wrong verdict.
-///
-/// ```
-/// use orm_dl::concept::Concept;
-/// use orm_dl::exec::ExecCx;
-/// use orm_dl::tableau::{satisfiable_cx, SearchOutcome};
-/// use orm_dl::tbox::TBox;
-///
-/// let mut tbox = TBox::new();
-/// let a = Concept::Atomic(tbox.atom("A"));
-/// tbox.gci(a.clone(), Concept::Bottom);
 /// let cx = ExecCx::with_steps(100_000);
+/// // A ⊑ B together with A ⊓ B ⊑ ⊥ dooms A.
 /// assert_eq!(satisfiable_cx(&tbox, &a, &cx), SearchOutcome::Unsat);
+/// assert_eq!(DlOutcome::from(satisfiable_cx(&tbox, &b, &cx)), DlOutcome::Sat);
 /// // A pre-cancelled context stops before proving anything.
 /// let cancelled = ExecCx::unlimited();
 /// cancelled.cancel();
 /// assert_eq!(satisfiable_cx(&tbox, &a, &cancelled), SearchOutcome::Cancelled);
 /// ```
 pub fn satisfiable_cx(tbox: &TBox, query: &Concept, cx: &ExecCx) -> SearchOutcome {
-    // Already-interrupted contexts fail deterministically before any
-    // search — a short proof must not slip past an expired deadline.
-    if let Err(interrupt) = cx.check() {
-        return interrupt.into();
+    match prove(tbox, query, cx, false) {
+        Ok((engine, result)) => engine.outcome(result),
+        Err(interrupt) => interrupt.into(),
     }
-    cx.note_proof();
-    let mut engine = Engine::new_cx(tbox, query, cx);
-    if engine.clash.is_some() {
-        engine.finish_metering();
-        return SearchOutcome::Unsat;
-    }
-    let result = engine.search();
-    engine.finish_metering();
-    engine.outcome(result)
 }
 
-/// [`satisfiable_with_witness`] under an execution context; the witness
-/// is extracted only on a certain `Sat` verdict.
+/// [`satisfiable_cx`], additionally extracting a compact [`Witness`] model
+/// from the final completion forest on a certain `Sat` verdict (`None`
+/// otherwise). The witness is what lets [`crate::cache::SatCache`]
+/// revalidate `Sat` entries against later TBox additions without
+/// re-running the tableau.
 pub fn satisfiable_with_witness_cx(
     tbox: &TBox,
     query: &Concept,
     cx: &ExecCx,
 ) -> (SearchOutcome, Option<Witness>) {
-    if let Err(interrupt) = cx.check() {
-        return (interrupt.into(), None);
-    }
-    cx.note_proof();
-    let mut engine = Engine::new_cx(tbox, query, cx);
-    if engine.clash.is_some() {
-        engine.finish_metering();
-        return (SearchOutcome::Unsat, None);
-    }
-    let result = engine.search();
-    engine.finish_metering();
-    match engine.outcome(result) {
-        SearchOutcome::Sat => (SearchOutcome::Sat, Some(engine.into_witness())),
-        other => (other, None),
+    match prove(tbox, query, cx, false) {
+        Ok((engine, SResult::Sat)) => (SearchOutcome::Sat, Some(engine.into_witness())),
+        Ok((engine, result)) => (engine.outcome(result), None),
+        Err(interrupt) => (interrupt.into(), None),
     }
 }
 
-/// [`satisfiable_with_conflict`] under an execution context; the
-/// conflict seed is reported only on a certain `Unsat` verdict.
+/// [`satisfiable_cx`] with axiom-usage tracking switched on: on an `Unsat`
+/// verdict, additionally report the set of TBox axioms the refutation
+/// rested on, resolved to provenance ids ([`AxiomId`]).
+///
+/// The reported set is a **conservative over-approximation** of a
+/// conflict set — it is the seed [`crate::explain::explain_unsat_cx`]
+/// then verifies and shrinks into a minimal unsat core; callers wanting
+/// guarantees should go through that API. Every other verdict carries
+/// `None`.
+///
+/// ```
+/// use orm_dl::concept::Concept;
+/// use orm_dl::exec::ExecCx;
+/// use orm_dl::tableau::{satisfiable_with_conflict_cx, SearchOutcome};
+/// use orm_dl::tbox::TBox;
+///
+/// let mut tbox = TBox::new();
+/// let a = Concept::Atomic(tbox.atom("A"));
+/// let b = Concept::Atomic(tbox.atom("B"));
+/// let doom = tbox.gci(a.clone(), Concept::Bottom);
+/// tbox.gci(b.clone(), Concept::Top); // irrelevant to A's doom
+/// let cx = ExecCx::with_steps(100_000);
+/// let (verdict, conflict) = satisfiable_with_conflict_cx(&tbox, &a, &cx);
+/// assert_eq!(verdict, SearchOutcome::Unsat);
+/// assert!(conflict.expect("unsat carries a conflict").contains(&doom));
+/// ```
 pub fn satisfiable_with_conflict_cx(
     tbox: &TBox,
     query: &Concept,
     cx: &ExecCx,
 ) -> (SearchOutcome, Option<Vec<AxiomId>>) {
-    if let Err(interrupt) = cx.check() {
-        return (interrupt.into(), None);
-    }
-    cx.note_proof();
-    let mut engine = Engine::new_tracking_cx(tbox, query, cx);
-    if let Some(conflict) = engine.clash {
-        engine.finish_metering();
-        return (SearchOutcome::Unsat, Some(resolve_axioms(tbox, conflict.axs)));
-    }
-    let result = engine.search();
-    engine.finish_metering();
-    match result {
-        SResult::Sat => (SearchOutcome::Sat, None),
-        SResult::Unsat(conflict) => {
+    match prove(tbox, query, cx, true) {
+        Ok((_, SResult::Unsat(conflict))) => {
             (SearchOutcome::Unsat, Some(resolve_axioms(tbox, conflict.axs)))
         }
-        SResult::Limit => (engine.outcome(SResult::Limit), None),
+        Ok((engine, result)) => (engine.outcome(result), None),
+        Err(interrupt) => (interrupt.into(), None),
     }
 }
 
-/// [`subsumes`] under an execution context: `Ok(Some(..))` on a certain
-/// answer, `Ok(None)` when the step budget ran out, `Err` when the
-/// context was cancelled or its deadline passed.
+/// Whether `sub ⊑ sup` follows from the TBox: the standard reduction to
+/// unsatisfiability of `sub ⊓ ¬sup`. `Ok(Some(..))` on a certain answer,
+/// `Ok(None)` when the step budget ran out, `Err` when the context was
+/// cancelled or its deadline passed.
+///
+/// ```
+/// use orm_dl::concept::Concept;
+/// use orm_dl::exec::ExecCx;
+/// use orm_dl::tableau::subsumes_cx;
+/// use orm_dl::tbox::TBox;
+///
+/// let mut tbox = TBox::new();
+/// let a = Concept::Atomic(tbox.atom("A"));
+/// let b = Concept::Atomic(tbox.atom("B"));
+/// tbox.gci(a.clone(), b.clone());
+/// let cx = ExecCx::with_steps(100_000);
+/// assert_eq!(subsumes_cx(&tbox, &b, &a, &cx), Ok(Some(true))); // A ⊑ B
+/// assert_eq!(subsumes_cx(&tbox, &a, &b, &cx), Ok(Some(false))); // B ⋢ A
+/// assert_eq!(subsumes_cx(&tbox, &a, &b, &ExecCx::with_steps(0)), Ok(None)); // out of budget
+/// ```
+///
+/// Repeated subsumption queries against one TBox (classification sweeps)
+/// should go through [`crate::cache::SatCache::subsumes_cx`] instead,
+/// which memoizes verdicts per root label set.
 pub fn subsumes_cx(
     tbox: &TBox,
     sup: &Concept,
@@ -310,7 +273,12 @@ pub fn subsumes_cx(
     cx: &ExecCx,
 ) -> Result<Option<bool>, Interrupt> {
     let query = Concept::and([sub.clone(), Concept::not(sup.clone())]);
-    match satisfiable_cx(tbox, &query, cx) {
+    subsumption(satisfiable_cx(tbox, &query, cx))
+}
+
+/// Read the verdict on `sub ⊓ ¬sup` as a subsumption answer.
+pub(crate) fn subsumption(outcome: SearchOutcome) -> Result<Option<bool>, Interrupt> {
+    match outcome {
         SearchOutcome::Unsat => Ok(Some(true)),
         SearchOutcome::Sat => Ok(Some(false)),
         SearchOutcome::BudgetExhausted => Ok(None),
@@ -319,65 +287,26 @@ pub fn subsumes_cx(
     }
 }
 
-/// [`satisfiable`], additionally extracting a compact [`Witness`] model
-/// from the final completion forest on a `Sat` verdict (`None`
-/// otherwise). The witness is what lets [`crate::cache::SatCache`]
-/// revalidate `Sat` entries against later TBox additions without
-/// re-running the tableau.
-pub fn satisfiable_with_witness(
+/// The one proof driver behind every public entry point: the upfront
+/// interrupt check, then one metered search. `Err` means the context was
+/// already interrupted and nothing ran.
+fn prove(
     tbox: &TBox,
     query: &Concept,
-    budget: u64,
-) -> (DlOutcome, Option<Witness>) {
-    let mut engine = Engine::new(tbox, query, budget);
-    if engine.clash.is_some() {
-        return (DlOutcome::Unsat, None);
-    }
-    match engine.search() {
-        SResult::Sat => (DlOutcome::Sat, Some(engine.into_witness())),
-        SResult::Unsat(_) => (DlOutcome::Unsat, None),
-        SResult::Limit => (DlOutcome::ResourceLimit, None),
-    }
-}
-
-/// [`satisfiable`] with axiom-usage tracking switched on: on an `Unsat`
-/// verdict, additionally report the set of TBox axioms the refutation
-/// rested on, resolved to provenance ids ([`AxiomId`]).
-///
-/// The reported set is a **conservative over-approximation** of a
-/// conflict set — it is the seed [`crate::explain::explain_unsat`] then
-/// verifies and shrinks into a minimal unsat core; callers wanting
-/// guarantees should go through that API. `Sat` and `ResourceLimit`
-/// verdicts carry `None`.
-///
-/// ```
-/// use orm_dl::concept::Concept;
-/// use orm_dl::tableau::{satisfiable_with_conflict, DlOutcome};
-/// use orm_dl::tbox::TBox;
-///
-/// let mut tbox = TBox::new();
-/// let a = Concept::Atomic(tbox.atom("A"));
-/// let b = Concept::Atomic(tbox.atom("B"));
-/// let doom = tbox.gci(a.clone(), Concept::Bottom);
-/// tbox.gci(b.clone(), Concept::Top); // irrelevant to A's doom
-/// let (verdict, conflict) = satisfiable_with_conflict(&tbox, &a, 100_000);
-/// assert_eq!(verdict, DlOutcome::Unsat);
-/// assert!(conflict.expect("unsat carries a conflict").contains(&doom));
-/// ```
-pub fn satisfiable_with_conflict(
-    tbox: &TBox,
-    query: &Concept,
-    budget: u64,
-) -> (DlOutcome, Option<Vec<AxiomId>>) {
-    let mut engine = Engine::new_tracking(tbox, query, budget);
-    if let Some(conflict) = engine.clash {
-        return (DlOutcome::Unsat, Some(resolve_axioms(tbox, conflict.axs)));
-    }
-    match engine.search() {
-        SResult::Sat => (DlOutcome::Sat, None),
-        SResult::Unsat(conflict) => (DlOutcome::Unsat, Some(resolve_axioms(tbox, conflict.axs))),
-        SResult::Limit => (DlOutcome::ResourceLimit, None),
-    }
+    cx: &ExecCx,
+    track: bool,
+) -> Result<(Engine, SResult), Interrupt> {
+    // Already-interrupted contexts fail deterministically before any
+    // search — a short proof must not slip past an expired deadline.
+    cx.check()?;
+    cx.note_proof();
+    let mut engine = Engine::new(tbox, query, cx, track);
+    let result = match engine.clash {
+        Some(conflict) => SResult::Unsat(conflict),
+        None => engine.search(),
+    };
+    engine.finish_metering();
+    Ok((engine, result))
 }
 
 /// A compact model witnessing a `Sat` verdict: the label sets of the
@@ -750,10 +679,8 @@ struct Engine {
     /// Current decision level: number of open `⊔`/`≤` choice points.
     level: u32,
     budget: u64,
-    /// The owning execution context, if any. `None` on the legacy `u64`
-    /// entry points — those pay zero per-step overhead beyond the budget
-    /// countdown they always had.
-    cx: Option<ExecCx>,
+    /// The execution context the proof runs under.
+    cx: ExecCx,
     /// Steps spent since the last meter flush (flushed every
     /// [`CHECK_INTERVAL`] steps and at search exit).
     pending_steps: u64,
@@ -766,29 +693,14 @@ struct Engine {
 }
 
 impl Engine {
-    fn new(tbox: &TBox, query: &Concept, budget: u64) -> Engine {
-        Engine::build(tbox, query, budget, false, None)
-    }
-
-    /// An engine whose facts carry axiom-usage sets, for unsat-core
-    /// seeding. Unlike [`Engine::new`] (which interns the memoized
-    /// internalized concept in one go), this interns each GCI's `¬C ⊔ D`
-    /// individually so every internal conjunct can be tagged with its
-    /// axiom's bit — one `implies` clone per GCI per construction, the
-    /// price the explanation path pays and the hot query paths do not.
-    fn new_tracking(tbox: &TBox, query: &Concept, budget: u64) -> Engine {
-        Engine::build(tbox, query, budget, true, None)
-    }
-
-    fn new_cx(tbox: &TBox, query: &Concept, cx: &ExecCx) -> Engine {
-        Engine::build(tbox, query, cx.steps().unwrap_or(u64::MAX), false, Some(cx.clone()))
-    }
-
-    fn new_tracking_cx(tbox: &TBox, query: &Concept, cx: &ExecCx) -> Engine {
-        Engine::build(tbox, query, cx.steps().unwrap_or(u64::MAX), true, Some(cx.clone()))
-    }
-
-    fn build(tbox: &TBox, query: &Concept, budget: u64, track: bool, cx: Option<ExecCx>) -> Engine {
+    /// The engine for one proof of `query` under `cx`. With `track` set,
+    /// facts carry axiom-usage sets for unsat-core seeding: instead of
+    /// interning the memoized internalized concept in one go, each GCI's
+    /// `¬C ⊔ D` is interned individually so every internal conjunct can be
+    /// tagged with its axiom's bit — one `implies` clone per GCI per
+    /// construction, the price the explanation path pays and the hot query
+    /// paths do not.
+    fn new(tbox: &TBox, query: &Concept, cx: &ExecCx, track: bool) -> Engine {
         let mut arena = Arena::new();
         let mut internal = Vec::new();
         let mut internal_ax = Vec::new();
@@ -862,8 +774,8 @@ impl Engine {
             gen_done: Vec::new(),
             clash: None,
             level: 0,
-            budget,
-            cx,
+            budget: cx.steps().unwrap_or(u64::MAX),
+            cx: cx.clone(),
             pending_steps: 0,
             tripped: None,
             scratch: Vec::new(),
@@ -909,18 +821,16 @@ impl Engine {
             // burn further steps before the Limit reaches the top.
             return false;
         }
-        if let Some(cx) = &self.cx {
-            if cx.is_cancelled() {
-                self.tripped = Some(Interrupt::Cancelled);
+        if self.cx.is_cancelled() {
+            self.tripped = Some(Interrupt::Cancelled);
+            return false;
+        }
+        self.pending_steps += 1;
+        if self.pending_steps >= CHECK_INTERVAL {
+            let pending = std::mem::take(&mut self.pending_steps);
+            if let Err(interrupt) = self.cx.check_after(pending) {
+                self.tripped = Some(interrupt);
                 return false;
-            }
-            self.pending_steps += 1;
-            if self.pending_steps >= CHECK_INTERVAL {
-                let pending = std::mem::take(&mut self.pending_steps);
-                if let Err(interrupt) = cx.check_after(pending) {
-                    self.tripped = Some(interrupt);
-                    return false;
-                }
             }
         }
         if self.budget == 0 {
@@ -930,13 +840,10 @@ impl Engine {
         true
     }
 
-    /// Flush the unflushed step count into the context's meter (a no-op
-    /// without a context). Called once per public entry point after the
-    /// search returns.
+    /// Flush the unflushed step count into the context's meter. Called
+    /// once per proof after the search returns.
     fn finish_metering(&mut self) {
-        if let Some(cx) = &self.cx {
-            cx.meter().add_steps(std::mem::take(&mut self.pending_steps));
-        }
+        self.cx.meter().add_steps(std::mem::take(&mut self.pending_steps));
     }
 
     /// Map an internal search result to the public five-way outcome,
@@ -1799,6 +1706,11 @@ mod tests {
     use super::*;
     use crate::concept::RoleExpr;
 
+    /// The per-proof context the unit tests below run under.
+    fn cx() -> ExecCx {
+        ExecCx::with_steps(100_000)
+    }
+
     /// The shared scenario suite (see `crate::test_scenarios`): every rule
     /// interaction with its expected verdict, run through the trail-based
     /// engine. `classic::tests` runs the identical list, so both engines
@@ -1807,7 +1719,11 @@ mod tests {
     fn trail_engine_matches_expected_verdicts() {
         for case in crate::test_scenarios::all() {
             assert_eq!(
-                satisfiable(&case.tbox, &case.query, case.budget),
+                DlOutcome::from(satisfiable_cx(
+                    &case.tbox,
+                    &case.query,
+                    &ExecCx::with_steps(case.budget)
+                )),
                 case.expected,
                 "trail engine wrong on: {}",
                 case.name
@@ -1826,19 +1742,19 @@ mod tests {
         let mut t = TBox::new();
         let a = Concept::Atomic(t.atom("A"));
         let query = Concept::and([a.clone(), Concept::not(a.clone())]);
-        assert_eq!(satisfiable(&t, &query, 100_000), DlOutcome::Unsat);
+        assert_eq!(satisfiable_cx(&t, &query, &cx()), SearchOutcome::Unsat);
 
         // Deterministic propagation clash with zero disjunctions opened:
         // A ⊑ ⊥ dooms A without a single ⊔/≤ choice point.
         let mut t = TBox::new();
         let a = Concept::Atomic(t.atom("A"));
         t.gci(a.clone(), Concept::Bottom);
-        assert_eq!(satisfiable(&t, &a, 100_000), DlOutcome::Unsat);
+        assert_eq!(satisfiable_cx(&t, &a, &cx()), SearchOutcome::Unsat);
 
         // And the refutation does not corrupt later verdicts in the same
         // TBox: B stays satisfiable after A's level-0 refutation.
         let b = Concept::Atomic(t.atom("B"));
-        assert_eq!(satisfiable(&t, &b, 100_000), DlOutcome::Sat);
+        assert_eq!(satisfiable_cx(&t, &b, &cx()), SearchOutcome::Sat);
     }
 
     /// `choice_bit` is monotone over precise levels and saturates at 63;
@@ -1864,8 +1780,8 @@ mod tests {
         let b = Concept::Atomic(t.atom("B"));
         let fresh = Concept::Atomic(t.atom("Fresh"));
         t.gci(a.clone(), b.clone());
-        let (verdict, witness) = satisfiable_with_witness(&t, &a, 100_000);
-        assert_eq!(verdict, DlOutcome::Sat);
+        let (verdict, witness) = satisfiable_with_witness_cx(&t, &a, &cx());
+        assert_eq!(verdict, SearchOutcome::Sat);
         let mut w = witness.expect("Sat carries a witness");
         assert!(w.node_count() >= 1);
         // `Fresh ⊑ ⊥` is vacuously satisfied: no node mentions Fresh.
@@ -1883,11 +1799,14 @@ mod tests {
         let mut t = TBox::new();
         let a = Concept::Atomic(t.atom("A"));
         t.gci(a.clone(), Concept::Bottom);
-        assert!(matches!(satisfiable_with_witness(&t, &a, 100_000), (DlOutcome::Unsat, None)));
+        assert!(matches!(satisfiable_with_witness_cx(&t, &a, &cx()), (SearchOutcome::Unsat, None)));
         let r = RoleExpr::direct(t.role("R"));
         let b = Concept::Atomic(t.atom("B"));
         t.gci(b.clone(), Concept::Exists(r, Box::new(b.clone())));
-        assert!(matches!(satisfiable_with_witness(&t, &b, 1), (DlOutcome::ResourceLimit, None)));
+        assert!(matches!(
+            satisfiable_with_witness_cx(&t, &b, &ExecCx::with_steps(1)),
+            (SearchOutcome::BudgetExhausted, None)
+        ));
     }
 
     #[test]
@@ -1897,8 +1816,8 @@ mod tests {
         let s = RoleExpr::direct(t.role("S"));
         let a = Concept::Atomic(t.atom("A"));
         t.gci(a.clone(), Concept::some(r));
-        let (verdict, witness) = satisfiable_with_witness(&t, &a, 100_000);
-        assert_eq!(verdict, DlOutcome::Sat);
+        let (verdict, witness) = satisfiable_with_witness_cx(&t, &a, &cx());
+        assert_eq!(verdict, SearchOutcome::Sat);
         let w = witness.expect("witness");
         assert!(w.has_role_edges());
         // Disjointness between two roles the witness never pairs on one
@@ -1919,8 +1838,9 @@ mod tests {
         let a = Concept::Atomic(t.atom("A"));
         let b = Concept::Atomic(t.atom("B"));
         t.gci(a.clone(), b.clone());
-        assert_eq!(subsumes(&t, &b, &a, 500_000), Some(true));
-        assert_eq!(subsumes(&t, &a, &b, 500_000), Some(false));
-        assert_eq!(subsumes(&t, &a, &b, 0), None);
+        let cx = ExecCx::with_steps(500_000);
+        assert_eq!(subsumes_cx(&t, &b, &a, &cx), Ok(Some(true)));
+        assert_eq!(subsumes_cx(&t, &a, &b, &cx), Ok(Some(false)));
+        assert_eq!(subsumes_cx(&t, &a, &b, &ExecCx::with_steps(0)), Ok(None));
     }
 }

@@ -28,8 +28,9 @@
 
 use crate::columnar::ColumnarPopulation;
 use crate::{CheckOptions, Population, Violation};
+use orm_dl::exec::ExecCx;
 use orm_dl::orm_to_dl::Translation;
-use orm_dl::tableau::DlOutcome;
+use orm_dl::tableau::SearchOutcome;
 use orm_model::{
     Constraint, ConstraintId, FactTypeId, ObjectTypeId, RingKinds, RoleId, Schema,
     SetComparisonKind, Value,
@@ -98,19 +99,21 @@ pub struct CheckPlan {
 
 impl CheckPlan {
     /// Compile `schema`'s constraints into a plan, certifying the schema
-    /// through `translation`'s tableau (one cached type sweep under
-    /// `budget`). The plan is stamped with the schema revision and the
-    /// TBox cache stamp so later edits invalidate it.
+    /// through `translation`'s tableau (one cached type sweep under `cx`).
+    /// A sweep that `cx` interrupts certifies nothing it did not prove: the
+    /// plan is then not `certified_sat`, and `unsat_types` lists only the
+    /// types proved unsatisfiable. The plan is stamped with the schema
+    /// revision and the TBox cache stamp so later edits invalidate it.
     pub fn compile(
         schema: &Schema,
         translation: &Translation,
-        budget: u64,
+        cx: &ExecCx,
         options: CheckOptions,
     ) -> CheckPlan {
-        let sweep = translation.type_sweep(schema, budget);
-        let certified_sat = sweep.iter().all(|(_, o)| *o == DlOutcome::Sat);
+        let sweep = translation.type_sweep_cx(schema, cx);
+        let certified_sat = sweep.iter().all(|(_, o)| *o == SearchOutcome::Sat);
         let unsat_types: Vec<ObjectTypeId> =
-            sweep.iter().filter(|(_, o)| *o == DlOutcome::Unsat).map(|(ty, _)| *ty).collect();
+            sweep.iter().filter(|(_, o)| *o == SearchOutcome::Unsat).map(|(ty, _)| *ty).collect();
 
         let idx = schema.index();
         let mut ops = Vec::new();

@@ -5,7 +5,7 @@
 //! finish in `docs/EXPLANATIONS.md`):
 //!
 //! 1. the DL sweep finds the unsatisfiable types and roles
-//!    (`Translation::{type,role}_sweep`);
+//!    (`Translation::{type,role}_sweep_cx`);
 //! 2. each unsat element gets a **minimal unsat core** of DL axioms
 //!    (`orm_dl::explain`, cached beside the verdicts);
 //! 3. the core's axioms are mapped back to the ORM constructs that
@@ -21,10 +21,10 @@
 //!
 //! Since the MUS-enumeration PR the pipeline goes further: step 2
 //! enumerates the **whole family** of minimal cores per element
-//! (`Translation::enumerate_unsat`, capped at [`FAMILY_LIMIT`]), so a
+//! (`Translation::enumerate_unsat_cx`, capped at [`FAMILY_LIMIT`]), so a
 //! schema with several independent contradictions behind one element
 //! surfaces all of them at once; and the verified hitting-set repairs
-//! over that family (`Translation::repairs_for`) are verbalized as
+//! over that family (`Translation::repairs_for_cx`) are verbalized as
 //! ranked *"drop one of: …"* alternatives
 //! ([`orm_syntax::verbalize_repair_alternatives`]) — most recently
 //! edited culprit first, because in an interactive session the newest
@@ -41,7 +41,7 @@ use orm_syntax::{
 };
 use std::collections::BTreeMap;
 
-/// Per-element cap on enumerated cores ([`Translation::enumerate_unsat`]'s
+/// Per-element cap on enumerated cores ([`Translation::enumerate_unsat_cx`]'s
 /// `limit`): real doomed elements carry a handful of independent
 /// contradictions (the bench battery averages well under three axioms per
 /// core), so eight families is ample headroom while bounding the probe
@@ -63,7 +63,7 @@ pub enum DiagnosedElement {
 /// satisfiability, verbalized at the ORM level.
 #[derive(Clone, Debug)]
 pub struct Repair {
-    /// The underlying verified repair ([`orm_dl::explain::ranked_repairs`]
+    /// The underlying verified repair ([`orm_dl::explain::ranked_repairs_cx`]
     /// guarantees: hits all cores, re-proved Sat, no proper subset
     /// suffices), carrying the DL axiom ids and the edit-recency rank key.
     pub set: RepairSet,
@@ -167,12 +167,20 @@ fn origin_statement(schema: &Schema, origin: &AxiomOrigin) -> String {
 /// per doomed element (up to [`FAMILY_LIMIT`]), map every core to ORM
 /// constraints, verbalize, and attach the verified ranked repairs as
 /// "drop one of: …" alternatives. Elements whose verdicts are `Sat` or
-/// hit the budget produce no diagnosis — this reports *certified*
+/// undecided produce no diagnosis — this reports *certified*
 /// contradictions only, in sweep order (types first).
 ///
+/// Every sweep verdict, core enumeration, and repair verification
+/// inherits `cx`'s budget, deadline, and cancellation token. On an
+/// interrupt the pipeline stops cleanly — already-certified diagnoses are
+/// returned (each core and repair is individually re-proved, so partial
+/// output is still sound), nothing half-proved is cached, and re-running
+/// under a richer context finishes the job against warm shards.
+///
 /// ```
+/// use orm_dl::ExecCx;
 /// use orm_model::SchemaBuilder;
-/// use orm_reasoner::{diagnose, DiagnosedElement};
+/// use orm_reasoner::{diagnose_cx, DiagnosedElement};
 ///
 /// // Fig. 1: PhdStudent ⊑ Student ⊓ Employee, with the two exclusive.
 /// let mut b = SchemaBuilder::new("fig1");
@@ -187,7 +195,7 @@ fn origin_statement(schema: &Schema, origin: &AxiomOrigin) -> String {
 /// b.exclusive_types([student, employee]).unwrap();
 /// let schema = b.finish();
 ///
-/// let diagnoses = diagnose(&schema, 100_000);
+/// let diagnoses = diagnose_cx(&schema, &ExecCx::with_steps(100_000));
 /// assert_eq!(diagnoses.len(), 1);
 /// let d = &diagnoses[0];
 /// assert_eq!(d.element, DiagnosedElement::Type(phd));
@@ -205,31 +213,14 @@ fn origin_statement(schema: &Schema, origin: &AxiomOrigin) -> String {
 /// assert!(d.repairs.iter().all(|r| r.set.verified && r.set.len() == 1));
 /// assert!(d.to_string().contains("To repair, drop one of:"));
 /// ```
-pub fn diagnose(schema: &Schema, budget: u64) -> Vec<Diagnosis> {
-    diagnose_with(schema, &orm_dl::translate(schema), budget)
-}
-
-/// [`diagnose`] against an existing translation — the warm-cache variant
-/// for interactive sessions: cores are cached beside verdicts in the
-/// translation's shards, so re-diagnosing after unrelated edits replays
-/// retained entries instead of re-proving.
-pub fn diagnose_with(schema: &Schema, translation: &Translation, budget: u64) -> Vec<Diagnosis> {
-    diagnose_with_cx(schema, translation, &ExecCx::with_steps(budget))
-}
-
-/// [`diagnose`] under an execution context: every sweep verdict, core
-/// enumeration, and repair verification inherits `cx`'s budget, deadline,
-/// and cancellation token. On an interrupt the pipeline stops cleanly —
-/// already-certified diagnoses are returned (each core and repair is
-/// individually re-proved, so partial output is still sound), nothing
-/// half-proved is cached, and re-running under a richer context finishes
-/// the job against warm shards.
 pub fn diagnose_cx(schema: &Schema, cx: &ExecCx) -> Vec<Diagnosis> {
     diagnose_with_cx(schema, &orm_dl::translate(schema), cx)
 }
 
-/// [`diagnose_cx`] against an existing translation (the warm-cache
-/// variant, see [`diagnose_with`]).
+/// [`diagnose_cx`] against an existing translation — the warm-cache
+/// variant for interactive sessions: cores are cached beside verdicts in
+/// the translation's shards, so re-diagnosing after unrelated edits
+/// replays retained entries instead of re-proving.
 pub fn diagnose_with_cx(schema: &Schema, translation: &Translation, cx: &ExecCx) -> Vec<Diagnosis> {
     let mut out = Vec::new();
     let mut diagnose_element = |element: DiagnosedElement, label: String| {
@@ -400,10 +391,10 @@ fn saturation_statements(schema: &Schema, refutation: &Refutation) -> Vec<String
 /// Diagnose every element the **saturation engine** refutes, under `cx`:
 /// one sweep over all object types and roles, each `Unsat` turned into a
 /// verbalized [`SaturationDiagnosis`]. Interrupted or undecided queries
-/// produce no diagnosis — like [`diagnose`], this reports *certified*
+/// produce no diagnosis — like [`diagnose_cx`], this reports *certified*
 /// refutations only, in sweep order (types first).
 ///
-/// The DL pipeline's [`diagnose`] and this function are complementary:
+/// The DL pipeline's [`diagnose_cx`] and this function are complementary:
 /// where both engines refute an element, the DL diagnosis carries the
 /// minimal-core machinery (families, repairs); where only the saturation
 /// engine can decide (`refutation.beyond_dl`), this is the sole source of
@@ -504,7 +495,7 @@ mod tests {
         b.mandatory(r1).unwrap();
         b.exclusion_roles([r1, r3]).unwrap();
         let s = b.finish();
-        let ds = diagnose(&s, BUDGET);
+        let ds = diagnose_cx(&s, &ExecCx::with_steps(BUDGET));
         // Both ends of the doomed fact type f2 are reported (a tuple
         // would populate both), r1 is not.
         assert!(!ds.iter().any(|d| d.element == DiagnosedElement::Role(r1)), "{ds:?}");
@@ -541,7 +532,7 @@ mod tests {
         b.unique([r1]).unwrap();
         b.frequency([r1], 2, Some(5)).unwrap();
         let s = b.finish();
-        let ds = diagnose(&s, BUDGET);
+        let ds = diagnose_cx(&s, &ExecCx::with_steps(BUDGET));
         let d = ds
             .iter()
             .find(|d| d.element == DiagnosedElement::Role(r1))
@@ -582,7 +573,7 @@ mod tests {
         b.exclusive_types([student, employee]).unwrap();
         b.exclusive_types([x, y]).unwrap();
         let s = b.finish();
-        let ds = diagnose(&s, BUDGET);
+        let ds = diagnose_cx(&s, &ExecCx::with_steps(BUDGET));
         let d = ds
             .iter()
             .find(|d| d.element == DiagnosedElement::Type(phd))
@@ -619,12 +610,12 @@ mod tests {
         let student = b.entity_type("Student").unwrap();
         b.subtype(student, person).unwrap();
         let s = b.finish();
-        assert!(diagnose(&s, BUDGET).is_empty());
+        assert!(diagnose_cx(&s, &ExecCx::with_steps(BUDGET)).is_empty());
     }
 
     #[test]
     fn warm_session_diagnosis_matches_cold() {
-        // diagnose_with over an edited translation agrees with diagnose
+        // diagnose_with_cx over an edited translation agrees with diagnose
         // over the equivalent rebuilt schema.
         let mut b = SchemaBuilder::new("s");
         let person = b.entity_type("Person").unwrap();
@@ -637,9 +628,9 @@ mod tests {
         b.subtype(phd, employee).unwrap();
         let schema = b.finish();
         let mut translation = orm_dl::translate(&schema);
-        assert!(diagnose_with(&schema, &translation, BUDGET).is_empty());
+        assert!(diagnose_with_cx(&schema, &translation, &ExecCx::with_steps(BUDGET)).is_empty());
         translation.edit().add_type_exclusion(student, employee);
-        let warm = diagnose_with(&schema, &translation, BUDGET);
+        let warm = diagnose_with_cx(&schema, &translation, &ExecCx::with_steps(BUDGET));
         assert_eq!(warm.len(), 1);
         assert_eq!(warm[0].element, DiagnosedElement::Type(phd));
         assert!(

@@ -50,12 +50,12 @@ mod diagnose;
 mod search;
 
 pub use diagnose::{
-    diagnose, diagnose_cx, diagnose_saturation, diagnose_with, diagnose_with_cx, DiagnosedElement,
-    Diagnosis, Repair, SaturationDiagnosis, FAMILY_LIMIT,
+    diagnose_cx, diagnose_saturation, diagnose_with_cx, DiagnosedElement, Diagnosis, Repair,
+    SaturationDiagnosis, FAMILY_LIMIT,
 };
 pub use search::{find_model, Bounds, Outcome, Target};
 
-use orm_dl::{DlOutcome, ExecCx, SearchOutcome, Translation};
+use orm_dl::{ExecCx, SearchOutcome, Translation};
 use orm_model::{ObjectTypeId, RoleId, Schema};
 use orm_population::{CheckOptions, CheckPlan, Population, Violation};
 
@@ -165,7 +165,7 @@ pub fn type_sweep_par(
 /// ```
 /// use orm_model::SchemaBuilder;
 /// use orm_reasoner::InteractiveSession;
-/// use orm_dl::DlOutcome;
+/// use orm_dl::{ExecCx, SearchOutcome};
 ///
 /// let mut b = SchemaBuilder::new("s");
 /// let a = b.entity_type("A").unwrap();
@@ -177,13 +177,14 @@ pub fn type_sweep_par(
 /// let schema = b.finish();
 ///
 /// let mut session = InteractiveSession::new(&schema);
-/// assert!(session.role_sweep(&schema, 100_000).iter().all(|(_, v)| *v == DlOutcome::Sat));
+/// let cx = ExecCx::with_steps(100_000);
+/// assert!(session.role_sweep_cx(&schema, &cx).iter().all(|(_, v)| *v == SearchOutcome::Sat));
 ///
 /// // One edit, one warm re-sweep: the exclusion dooms r3 only.
 /// session.edit().add_role_exclusion(r1, r3);
 /// session.edit().add_mandatory(a, &[r1]);
-/// let sweep = session.role_sweep(&schema, 100_000);
-/// assert!(sweep.iter().any(|(r, v)| *r == r3 && *v == DlOutcome::Unsat));
+/// let sweep = session.role_sweep_cx(&schema, &cx);
+/// assert!(sweep.iter().any(|(r, v)| *r == r3 && *v == SearchOutcome::Unsat));
 /// assert_eq!(session.cache_stats().invalidations, 0);
 /// ```
 #[derive(Debug)]
@@ -208,13 +209,8 @@ impl InteractiveSession {
         self.translation.edit()
     }
 
-    /// The per-role DL sweep against the warm shards.
-    pub fn role_sweep(&self, schema: &Schema, budget: u64) -> Vec<(RoleId, DlOutcome)> {
-        self.translation.role_sweep(schema, budget)
-    }
-
-    /// [`InteractiveSession::role_sweep`] under an execution context —
-    /// the deadline-and-cancel-aware entry point an editor binds to a
+    /// The per-role DL sweep against the warm shards — the
+    /// deadline-and-cancel-aware entry point an editor binds to a
     /// keystroke. Once the context trips, the remaining roles report the
     /// interrupt's [`SearchOutcome`] variant immediately and nothing
     /// half-proved is cached, so the *next* keystroke's sweep re-proves
@@ -223,13 +219,8 @@ impl InteractiveSession {
         self.translation.role_sweep_cx(schema, cx)
     }
 
-    /// The per-type DL sweep against the warm shards.
-    pub fn type_sweep(&self, schema: &Schema, budget: u64) -> Vec<(ObjectTypeId, DlOutcome)> {
-        self.translation.type_sweep(schema, budget)
-    }
-
-    /// [`InteractiveSession::type_sweep`] under an execution context
-    /// (see [`InteractiveSession::role_sweep_cx`]).
+    /// The per-type DL sweep against the warm shards (see
+    /// [`InteractiveSession::role_sweep_cx`]).
     pub fn type_sweep_cx(
         &self,
         schema: &Schema,
@@ -274,8 +265,9 @@ impl InteractiveSession {
 /// are never executed.
 ///
 /// ```
+/// use orm_dl::ExecCx;
 /// use orm_model::SchemaBuilder;
-/// use orm_population::Population;
+/// use orm_population::{CheckOptions, Population};
 /// use orm_reasoner::BulkChecker;
 ///
 /// let mut b = SchemaBuilder::new("s");
@@ -291,7 +283,8 @@ impl InteractiveSession {
 /// pop.add_instance(car, "c1");
 /// pop.add_fact(drives, "ann", "c1");
 ///
-/// let mut checker = BulkChecker::new(&schema, 100_000);
+/// let cx = ExecCx::with_steps(100_000);
+/// let mut checker = BulkChecker::with_context(&schema, &cx, CheckOptions::default());
 /// assert!(checker.check(&schema, &pop).is_empty());
 /// assert!(checker.plan().is_some_and(|p| p.certified_sat()));
 ///
@@ -307,21 +300,12 @@ pub struct BulkChecker {
 }
 
 impl BulkChecker {
-    /// A checker with the default (strict) [`CheckOptions`]; `budget`
-    /// bounds the one-time certification sweep's tableau runs.
-    pub fn new(schema: &Schema, budget: u64) -> BulkChecker {
-        BulkChecker::with_options(schema, budget, CheckOptions::default())
-    }
-
-    /// A checker with explicit semantic options.
-    pub fn with_options(schema: &Schema, budget: u64, options: CheckOptions) -> BulkChecker {
-        BulkChecker::with_context(schema, &ExecCx::with_steps(budget), options)
-    }
-
     /// A checker bound to an execution context: the context's step
-    /// budget bounds each certification proof, and its meter aggregates
-    /// every (re)compile the checker performs over its lifetime. The
-    /// checker keeps a clone — the caller's handle still cancels it.
+    /// budget bounds each certification proof, its deadline and token can
+    /// interrupt a compile (the plan then certifies nothing), and its meter
+    /// aggregates every (re)compile the checker performs over its
+    /// lifetime. The checker keeps a clone — the caller's handle still
+    /// cancels it.
     pub fn with_context(schema: &Schema, cx: &ExecCx, options: CheckOptions) -> BulkChecker {
         BulkChecker { translation: orm_dl::translate(schema), plan: None, options, cx: cx.clone() }
     }
@@ -345,8 +329,7 @@ impl BulkChecker {
     pub fn plan_for(&mut self, schema: &Schema) -> &CheckPlan {
         let stale = !self.plan.as_ref().is_some_and(|p| p.is_current(schema, &self.translation));
         if stale {
-            let budget = self.cx.steps().unwrap_or(u64::MAX);
-            self.plan = Some(CheckPlan::compile(schema, &self.translation, budget, self.options));
+            self.plan = Some(CheckPlan::compile(schema, &self.translation, &self.cx, self.options));
         }
         self.plan.as_ref().expect("plan was just compiled")
     }
@@ -374,10 +357,10 @@ impl BulkChecker {
 pub fn check_bulk(
     schema: &Schema,
     pop: &Population,
-    budget: u64,
+    cx: &ExecCx,
     options: CheckOptions,
 ) -> Vec<Violation> {
-    BulkChecker::with_options(schema, budget, options).check(schema, pop)
+    BulkChecker::with_context(schema, cx, options).check(schema, pop)
 }
 
 #[cfg(test)]
@@ -593,15 +576,16 @@ mod tests {
             (b.finish(), student, employee)
         };
         let (schema, student, employee) = build(false);
+        let cx = ExecCx::with_steps(BUDGET);
         let mut session = InteractiveSession::new(&schema);
-        let before = session.type_sweep(&schema, BUDGET);
-        assert!(before.iter().all(|(_, v)| *v == DlOutcome::Sat));
+        let before = session.type_sweep_cx(&schema, &cx);
+        assert!(before.iter().all(|(_, v)| *v == SearchOutcome::Sat));
 
         session.edit().add_type_exclusion(student, employee);
-        let warm = session.type_sweep(&schema, BUDGET);
+        let warm = session.type_sweep_cx(&schema, &cx);
 
         let (edited, ..) = build(true);
-        let cold = orm_dl::translate(&edited).type_sweep(&edited, BUDGET);
+        let cold = orm_dl::translate(&edited).type_sweep_cx(&edited, &cx);
         assert_eq!(
             warm.iter().map(|(_, v)| *v).collect::<Vec<_>>(),
             cold.iter().map(|(_, v)| *v).collect::<Vec<_>>(),

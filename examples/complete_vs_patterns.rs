@@ -14,7 +14,7 @@
 //! Run with `cargo run --release -p orm-examples --example complete_vs_patterns`.
 
 use orm_core::{fixtures, validate};
-use orm_dl::{translate, DlOutcome};
+use orm_dl::{translate, ExecCx, SearchOutcome};
 use orm_gen::{faults::FaultKind, generate_clean, GenConfig};
 use orm_reasoner::{concept_satisfiability, strong_satisfiability, Bounds, Outcome};
 use std::time::Instant;
@@ -59,18 +59,15 @@ fn run_row(name: &str, schema: &orm_model::Schema) {
     let translation = translate(schema);
     let mut dl_unsat = false;
     let mut dl_budget = false;
-    for (r, _) in schema.roles() {
-        match translation.role_satisfiable(r, 200_000) {
-            DlOutcome::Unsat => dl_unsat = true,
-            DlOutcome::ResourceLimit => dl_budget = true,
-            DlOutcome::Sat => {}
-        }
-    }
-    for (t, _) in schema.object_types() {
-        match translation.type_satisfiable(t, 200_000) {
-            DlOutcome::Unsat => dl_unsat = true,
-            DlOutcome::ResourceLimit => dl_budget = true,
-            DlOutcome::Sat => {}
+    let cx = ExecCx::with_steps(200_000);
+    let verdicts = translation.role_sweep_cx(schema, &cx).into_iter().map(|(_, v)| v);
+    for verdict in
+        verdicts.chain(translation.type_sweep_cx(schema, &cx).into_iter().map(|(_, v)| v))
+    {
+        match verdict {
+            SearchOutcome::Unsat => dl_unsat = true,
+            SearchOutcome::Sat => {}
+            _ => dl_budget = true,
         }
     }
     let dl_verdict = if dl_unsat {

@@ -4,13 +4,13 @@
 //!
 //! Run with `cargo run -p orm-examples --example diagnose`.
 
+use orm_dl::ExecCx;
 use orm_examples::banner;
 use orm_model::SchemaBuilder;
-use orm_reasoner::{diagnose, diagnose_with, InteractiveSession};
-
-const BUDGET: u64 = 500_000;
+use orm_reasoner::{diagnose_cx, diagnose_with_cx, InteractiveSession};
 
 fn main() {
+    let cx = ExecCx::with_steps(500_000);
     banner("Fig. 1: the PhD student paradox, diagnosed");
 
     let mut b = SchemaBuilder::new("university");
@@ -28,7 +28,7 @@ fn main() {
     // One call: sweep, enumerate the minimal-unsat-core family per
     // doomed element, map every core to ORM constraints, verbalize, and
     // rank the verified "drop one of: …" repairs.
-    let diagnoses = diagnose(&schema, BUDGET);
+    let diagnoses = diagnose_cx(&schema, &cx);
     assert_eq!(diagnoses.len(), 1, "exactly PhdStudent is doomed");
     for d in &diagnoses {
         println!("{d}");
@@ -57,7 +57,7 @@ fn main() {
     b.exclusive_types([tenured, temp]).expect("valid constraint");
     let schema = b.finish();
 
-    let diagnoses = diagnose(&schema, BUDGET);
+    let diagnoses = diagnose_cx(&schema, &cx);
     assert_eq!(diagnoses.len(), 1, "exactly PhdStudent is doomed");
     let d = &diagnoses[0];
     assert_eq!(d.family.len(), 2, "both contradictions enumerated");
@@ -81,12 +81,12 @@ fn main() {
     let schema = b.finish();
 
     let mut session = InteractiveSession::new(&schema);
-    assert!(diagnose_with(&schema, session.translation(), BUDGET).is_empty());
+    assert!(diagnose_with_cx(&schema, session.translation(), &cx).is_empty());
     println!("before the edits: nothing to diagnose");
 
     session.edit().add_mandatory(a, &[r1]);
     session.edit().add_role_exclusion(r1, r3);
-    for d in diagnose_with(&schema, session.translation(), BUDGET) {
+    for d in diagnose_with_cx(&schema, session.translation(), &cx) {
         println!("{d}");
     }
 

@@ -12,6 +12,7 @@
 use orm_gen::populate::{bulk_workload, populate_random, PopConfig};
 use orm_population::{check, CheckOptions, CheckPlan, Population};
 use orm_reasoner::{check_bulk, BulkChecker};
+use orm_tests::steps;
 use orm_tests::tiny_config;
 use proptest::prelude::*;
 
@@ -23,7 +24,7 @@ const BUDGET: u64 = 200_000;
 fn assert_plan_agrees(schema: &orm_model::Schema, pop: &Population, options: CheckOptions) {
     let expected = check(schema, pop, options);
     let translation = orm_dl::translate(schema);
-    let plan = CheckPlan::compile(schema, &translation, BUDGET, options);
+    let plan = CheckPlan::compile(schema, &translation, &steps(BUDGET), options);
     let got = plan.execute(schema, pop);
     assert_eq!(
         expected,
@@ -72,7 +73,7 @@ fn bulk_workload_differential() {
         expected.len()
     );
     assert_plan_agrees(&w.schema, &w.population, CheckOptions::default());
-    let got = check_bulk(&w.schema, &w.population, BUDGET, CheckOptions::default());
+    let got = check_bulk(&w.schema, &w.population, &steps(BUDGET), CheckOptions::default());
     assert_eq!(expected, got, "check_bulk diverged from the validator");
 }
 
@@ -80,7 +81,7 @@ fn bulk_workload_differential() {
 #[test]
 fn clean_workload_certifies_and_conforms() {
     let w = bulk_workload(1_000, 0, 5);
-    let mut checker = BulkChecker::new(&w.schema, BUDGET);
+    let mut checker = BulkChecker::with_context(&w.schema, &steps(BUDGET), CheckOptions::default());
     let violations = checker.check(&w.schema, &w.population);
     assert_eq!(violations, vec![]);
     let plan = checker.plan().expect("plan compiled by check");
@@ -95,7 +96,7 @@ fn clean_workload_certifies_and_conforms() {
 fn plan_invalidation_across_edits() {
     let w = bulk_workload(400, 6, 3);
     let mut schema = w.schema;
-    let mut checker = BulkChecker::new(&schema, BUDGET);
+    let mut checker = BulkChecker::with_context(&schema, &steps(BUDGET), CheckOptions::default());
 
     let first = checker.check(&schema, &w.population);
     assert_eq!(first, check(&schema, &w.population, CheckOptions::default()));
@@ -137,4 +138,36 @@ fn plan_invalidation_across_edits() {
     let after_tbox_edit = checker.check(&schema, &w.population);
     assert!(checker.plan().expect("recompiled").is_current(&schema, checker.translation()));
     assert_eq!(after_tbox_edit, check(&schema, &w.population, CheckOptions::default()));
+}
+
+/// A checker bound to a pre-cancelled context compiles without proving
+/// anything: the plan certifies nothing, the interrupted proofs leave no
+/// cache entry behind, and the compiled constraint checks still report
+/// the validator's exact violation sequence.
+#[test]
+fn cancelled_context_compiles_an_uncertified_plan() {
+    let w = bulk_workload(400, 6, 3);
+    let cancelled = orm_dl::ExecCx::unlimited();
+    cancelled.cancel();
+    let mut checker = BulkChecker::with_context(&w.schema, &cancelled, CheckOptions::default());
+    let got = checker.check(&w.schema, &w.population);
+    assert_eq!(got, check(&w.schema, &w.population, CheckOptions::default()));
+    let plan = checker.plan().expect("plan compiled by check");
+    assert!(!plan.certified_sat(), "an interrupted sweep certified the schema");
+    assert!(plan.unsat_types().is_empty());
+    let translation = checker.translation();
+    assert!(translation.cache_stats().cancelled > 0, "the sweep ignored the cancellation");
+    assert_eq!(translation.shards().len(), 0, "an interrupted proof left a cache entry");
+}
+
+/// The certification sweep charges the checker's own context: after a
+/// normal compile its meter shows the tableau steps the sweep spent.
+#[test]
+fn compile_charges_the_checker_context() {
+    let w = bulk_workload(200, 0, 5);
+    let mut checker = BulkChecker::with_context(&w.schema, &steps(BUDGET), CheckOptions::default());
+    checker.plan_for(&w.schema);
+    assert!(checker.plan().is_some_and(|p| p.certified_sat()));
+    assert!(checker.context().meter().steps() > 0, "the compile sweep was not metered");
+    assert!(checker.context().meter().proofs() > 0);
 }

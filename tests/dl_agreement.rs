@@ -20,7 +20,7 @@
 use orm_dl::{translate, DlOutcome};
 use orm_gen::generate;
 use orm_reasoner::{role_satisfiability, type_satisfiability, Bounds};
-use orm_tests::{mappable_config, tiny_config};
+use orm_tests::{mappable_config, steps, tiny_config};
 use proptest::prelude::*;
 
 const DL_BUDGET: u64 = 120_000;
@@ -43,7 +43,7 @@ proptest! {
         prop_assert!(translation.unmapped.is_empty(), "{:?}", translation.unmapped);
 
         for (role, _) in schema.roles() {
-            let dl = translation.role_satisfiable(role, DL_BUDGET);
+            let dl = DlOutcome::from(translation.role_satisfiable_cx(role, &steps(DL_BUDGET)));
             let finder = role_satisfiability(&schema, role, Bounds::small());
             match (dl, finder) {
                 (DlOutcome::Unsat, outcome) => prop_assert!(
@@ -62,7 +62,7 @@ proptest! {
             }
         }
         for (ty, _) in schema.object_types() {
-            let dl = translation.type_satisfiable(ty, DL_BUDGET);
+            let dl = DlOutcome::from(translation.type_satisfiable_cx(ty, &steps(DL_BUDGET)));
             if dl == DlOutcome::Unsat {
                 let finder = type_satisfiability(&schema, ty, Bounds::small());
                 prop_assert!(
@@ -89,7 +89,7 @@ proptest! {
         let report = orm_core::validate(&schema);
         for finding in &report.findings {
             for &role in &finding.unsat_roles {
-                let dl = translation.role_satisfiable(role, DL_BUDGET);
+                let dl = DlOutcome::from(translation.role_satisfiable_cx(role, &steps(DL_BUDGET)));
                 prop_assert!(
                     dl != DlOutcome::Sat,
                     "pattern {:?} flagged role {} but the DL says satisfiable",
@@ -98,7 +98,7 @@ proptest! {
                 );
             }
             for &ty in &finding.unsat_types {
-                let dl = translation.type_satisfiable(ty, DL_BUDGET);
+                let dl = DlOutcome::from(translation.type_satisfiable_cx(ty, &steps(DL_BUDGET)));
                 prop_assert!(
                     dl != DlOutcome::Sat,
                     "pattern {:?} flagged type {} but the DL says satisfiable",
@@ -125,7 +125,7 @@ proptest! {
         let translation = translate(&schema);
         for (role, _) in schema.roles() {
             let query = translation.role_concept(role);
-            let new = orm_dl::satisfiable(&translation.tbox, &query, DL_BUDGET);
+            let new = DlOutcome::from(orm_dl::satisfiable_cx(&translation.tbox, &query, &steps(DL_BUDGET)));
             let old = orm_dl::classic::satisfiable(&translation.tbox, &query, DL_BUDGET);
             if new != DlOutcome::ResourceLimit && old != DlOutcome::ResourceLimit {
                 prop_assert_eq!(
@@ -139,7 +139,7 @@ proptest! {
         }
         for (ty, _) in schema.object_types() {
             let query = translation.type_concept(ty);
-            let new = orm_dl::satisfiable(&translation.tbox, &query, DL_BUDGET);
+            let new = DlOutcome::from(orm_dl::satisfiable_cx(&translation.tbox, &query, &steps(DL_BUDGET)));
             let old = orm_dl::classic::satisfiable(&translation.tbox, &query, DL_BUDGET);
             if new != DlOutcome::ResourceLimit && old != DlOutcome::ResourceLimit {
                 prop_assert_eq!(
@@ -164,12 +164,9 @@ proptest! {
         let translation = translate(&schema);
         for pass in 0..2 {
             for (role, _) in schema.roles() {
-                let cached = translation.role_satisfiable(role, DL_BUDGET);
-                let uncached = orm_dl::satisfiable(
-                    &translation.tbox,
-                    &translation.role_concept(role),
-                    DL_BUDGET,
-                );
+                let cached = DlOutcome::from(translation.role_satisfiable_cx(role, &steps(DL_BUDGET)));
+                let uncached = DlOutcome::from(orm_dl::satisfiable_cx(&translation.tbox,
+                    &translation.role_concept(role), &steps(DL_BUDGET)));
                 prop_assert_eq!(
                     cached,
                     uncached,
@@ -178,12 +175,9 @@ proptest! {
                 );
             }
             for (ty, _) in schema.object_types() {
-                let cached = translation.type_satisfiable(ty, DL_BUDGET);
-                let uncached = orm_dl::satisfiable(
-                    &translation.tbox,
-                    &translation.type_concept(ty),
-                    DL_BUDGET,
-                );
+                let cached = DlOutcome::from(translation.type_satisfiable_cx(ty, &steps(DL_BUDGET)));
+                let uncached = DlOutcome::from(orm_dl::satisfiable_cx(&translation.tbox,
+                    &translation.type_concept(ty), &steps(DL_BUDGET)));
                 prop_assert_eq!(
                     cached,
                     uncached,
@@ -207,8 +201,8 @@ proptest! {
     fn classification_stable_under_cache(seed in any::<u64>()) {
         let schema = generate(&mappable_config(seed));
         let translation = translate(&schema);
-        let first = translation.classify(&schema, DL_BUDGET);
-        let second = translation.classify(&schema, DL_BUDGET);
+        let first = translation.classify_cx(&schema, &steps(DL_BUDGET));
+        let second = translation.classify_cx(&schema, &steps(DL_BUDGET));
         prop_assert_eq!(&first, &second, "classification changed across cached runs (seed {})", seed);
         for &(sub, sup) in &first {
             let classic = orm_dl::classic::subsumes(
@@ -237,18 +231,18 @@ proptest! {
     fn classify_par_matches_sequential(seed in any::<u64>()) {
         let schema = generate(&mappable_config(seed));
         let translation = translate(&schema);
-        let sequential = translation.classify(&schema, DL_BUDGET);
+        let sequential = translation.classify_cx(&schema, &steps(DL_BUDGET));
         for threads in [1usize, 2, 8] {
             let cold = translation.clone();
             prop_assert_eq!(
-                &cold.classify_par(&schema, DL_BUDGET, threads),
+                &cold.classify_par_cx(&schema, &steps(DL_BUDGET), threads).0,
                 &sequential,
                 "cold parallel classification diverged at {} threads (seed {})",
                 threads,
                 seed
             );
             prop_assert_eq!(
-                &cold.classify_par(&schema, DL_BUDGET, threads),
+                &cold.classify_par_cx(&schema, &steps(DL_BUDGET), threads).0,
                 &sequential,
                 "warm parallel classification diverged at {} threads (seed {})",
                 threads,
@@ -263,11 +257,11 @@ proptest! {
     fn role_sweep_par_matches_sequential(seed in any::<u64>()) {
         let schema = generate(&mappable_config(seed));
         let translation = translate(&schema);
-        let sequential = translation.role_sweep(&schema, DL_BUDGET);
+        let sequential = translation.role_sweep_cx(&schema, &steps(DL_BUDGET));
         for threads in [1usize, 2, 8] {
             let cold = translation.clone();
             prop_assert_eq!(
-                &cold.role_sweep_par(&schema, DL_BUDGET, threads),
+                &cold.role_sweep_par_cx(&schema, &steps(DL_BUDGET), threads).0,
                 &sequential,
                 "parallel role sweep diverged at {} threads (seed {})",
                 threads,
@@ -284,13 +278,13 @@ proptest! {
     fn shard_stats_aggregate_to_sequential_totals(seed in any::<u64>()) {
         let schema = generate(&mappable_config(seed));
         let translation = translate(&schema);
-        translation.classify(&schema, DL_BUDGET);
-        translation.role_sweep(&schema, DL_BUDGET);
+        translation.classify_cx(&schema, &steps(DL_BUDGET));
+        translation.role_sweep_cx(&schema, &steps(DL_BUDGET));
         let seq = translation.cache_stats();
         for threads in [2usize, 8] {
             let par = translation.clone();
-            par.classify_par(&schema, DL_BUDGET, threads);
-            par.role_sweep_par(&schema, DL_BUDGET, threads);
+            par.classify_par_cx(&schema, &steps(DL_BUDGET), threads);
+            par.role_sweep_par_cx(&schema, &steps(DL_BUDGET), threads);
             let stats = par.cache_stats();
             prop_assert_eq!(
                 stats.misses, seq.misses,
@@ -315,12 +309,9 @@ proptest! {
         let types: Vec<_> = schema.object_types().map(|(t, _)| t).collect();
         for &sub in &types {
             for &sup in &types {
-                let new = orm_dl::subsumes(
-                    &translation.tbox,
+                let new = orm_dl::subsumes_cx(&translation.tbox,
                     &translation.type_concept(sup),
-                    &translation.type_concept(sub),
-                    DL_BUDGET,
-                );
+                    &translation.type_concept(sub), &steps(DL_BUDGET)).ok().flatten();
                 let old = orm_dl::classic::subsumes(
                     &translation.tbox,
                     &translation.type_concept(sup),
@@ -362,7 +353,11 @@ fn injected_faults_confirmed_by_finder_and_both_engines() {
                 );
                 if mappable {
                     let query = translation.role_concept(role);
-                    let new = orm_dl::satisfiable(&translation.tbox, &query, DL_BUDGET);
+                    let new = DlOutcome::from(orm_dl::satisfiable_cx(
+                        &translation.tbox,
+                        &query,
+                        &steps(DL_BUDGET),
+                    ));
                     let old = orm_dl::classic::satisfiable(&translation.tbox, &query, DL_BUDGET);
                     assert_ne!(
                         new,
@@ -387,7 +382,11 @@ fn injected_faults_confirmed_by_finder_and_both_engines() {
                 );
                 if mappable {
                     let query = translation.type_concept(ty);
-                    let new = orm_dl::satisfiable(&translation.tbox, &query, DL_BUDGET);
+                    let new = DlOutcome::from(orm_dl::satisfiable_cx(
+                        &translation.tbox,
+                        &query,
+                        &steps(DL_BUDGET),
+                    ));
                     let old = orm_dl::classic::satisfiable(&translation.tbox, &query, DL_BUDGET);
                     assert_ne!(
                         new,
@@ -420,7 +419,7 @@ fn mappable_figures_agree_with_dl() {
         for finding in &report.findings {
             for &role in &finding.unsat_roles {
                 assert_eq!(
-                    translation.role_satisfiable(role, DL_BUDGET),
+                    DlOutcome::from(translation.role_satisfiable_cx(role, &steps(DL_BUDGET))),
                     DlOutcome::Unsat,
                     "{}: DL disagrees on role {}",
                     fixture.id,
@@ -429,7 +428,7 @@ fn mappable_figures_agree_with_dl() {
             }
             for &ty in &finding.unsat_types {
                 assert_eq!(
-                    translation.type_satisfiable(ty, DL_BUDGET),
+                    DlOutcome::from(translation.type_satisfiable_cx(ty, &steps(DL_BUDGET))),
                     DlOutcome::Unsat,
                     "{}: DL disagrees on type {}",
                     fixture.id,

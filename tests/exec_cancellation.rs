@@ -16,6 +16,7 @@
 use orm_dl::{translate, ExecCx, SearchOutcome};
 use orm_gen::generate;
 use orm_tests::mappable_config;
+use orm_tests::steps;
 use proptest::prelude::*;
 
 const DL_BUDGET: u64 = 120_000;
@@ -45,9 +46,9 @@ proptest! {
 
         // Subsequent uncancelled runs on the SAME translation must agree
         // with a fresh sequential pass on a COLD translation.
-        let warm_classify = translation.classify(&schema, DL_BUDGET);
+        let warm_classify = translation.classify_cx(&schema, &steps(DL_BUDGET));
         let cold = translate(&schema);
-        let cold_classify = cold.classify(&schema, DL_BUDGET);
+        let cold_classify = cold.classify_cx(&schema, &steps(DL_BUDGET));
         prop_assert_eq!(&warm_classify, &cold_classify, "warm classify diverged after cancel");
 
         // Every pair the interrupted run *did* derive is in the full set.
@@ -57,11 +58,11 @@ proptest! {
 
         // Sweeps: verdict-for-verdict equality means no Unknown entry
         // recorded during the interrupted run masks a provable verdict.
-        let warm_types = translation.type_sweep(&schema, DL_BUDGET);
-        let cold_types = cold.type_sweep(&schema, DL_BUDGET);
+        let warm_types = translation.type_sweep_cx(&schema, &steps(DL_BUDGET));
+        let cold_types = cold.type_sweep_cx(&schema, &steps(DL_BUDGET));
         prop_assert_eq!(warm_types, cold_types, "type sweep diverged after cancel");
-        let warm_roles = translation.role_sweep(&schema, DL_BUDGET);
-        let cold_roles = cold.role_sweep(&schema, DL_BUDGET);
+        let warm_roles = translation.role_sweep_cx(&schema, &steps(DL_BUDGET));
+        let cold_roles = cold.role_sweep_cx(&schema, &steps(DL_BUDGET));
         prop_assert_eq!(warm_roles, cold_roles, "role sweep diverged after cancel");
     }
 
@@ -84,8 +85,8 @@ proptest! {
         }
         prop_assert_eq!(translation.cache_stats().hits, 0, "deadlined run touched entries");
 
-        let warm = translation.role_sweep(&schema, DL_BUDGET);
-        let cold = translate(&schema).role_sweep(&schema, DL_BUDGET);
+        let warm = translation.role_sweep_cx(&schema, &steps(DL_BUDGET));
+        let cold = translate(&schema).role_sweep_cx(&schema, &steps(DL_BUDGET));
         prop_assert_eq!(warm, cold, "role sweep diverged after deadline");
     }
 

@@ -31,11 +31,12 @@
 //! unrestricted generator.
 
 use orm_dl::concept::{Concept, RoleExpr};
-use orm_dl::explain::{core_refutes, explain_unsat, with_deep_stack, Explanation};
-use orm_dl::tableau::satisfiable;
+use orm_dl::explain::{core_refutes_cx, explain_unsat_cx, with_deep_stack, Explanation};
+use orm_dl::tableau::satisfiable_cx;
 use orm_dl::tbox::TBox;
-use orm_dl::{enumerate_mus, ranked_repairs, AxiomId, DlOutcome, MusEnumeration, SatCache};
+use orm_dl::{enumerate_mus_cx, ranked_repairs_cx, AxiomId, DlOutcome, MusEnumeration, SatCache};
 use orm_gen::{generate, multi_contradiction, GenConfig};
+use orm_tests::steps;
 use proptest::prelude::*;
 
 const BUDGET: u64 = 150_000;
@@ -48,8 +49,8 @@ const ENUM_BUDGET: u64 = 2_000_000;
 const ATOMS: usize = 4;
 const ROLES: usize = 2;
 
-// The direct `satisfiable`-over-`restrict_to` calls below run on
-// `with_deep_stack` for the same reason `explain_unsat` does internally:
+// The direct `satisfiable_cx`-over-`restrict_to` calls below run on
+// `with_deep_stack` for the same reason `explain_unsat_cx` does internally:
 // weakened-TBox searches recurse one frame per decision level, which
 // overflows a default test-thread stack in debug builds.
 
@@ -145,16 +146,16 @@ proptest! {
         let (tbox, queries) = build(&axioms);
         let mut cache = SatCache::new();
         for query in &queries {
-            let plain = with_deep_stack(|| satisfiable(&tbox, query, BUDGET));
-            let explanation = explain_unsat(&tbox, query, BUDGET);
+            let plain = with_deep_stack(|| DlOutcome::from(satisfiable_cx(&tbox, query, &steps(BUDGET))));
+            let explanation = explain_unsat_cx(&tbox, query, &steps(BUDGET));
             prop_assert_eq!(explanation.verdict(), plain, "outcome diverged on {}", query);
             // The cached path classifies identically.
-            let cached = cache.explain(&tbox, query, BUDGET);
+            let cached = cache.explain_seeded_cx(&tbox, query, &steps(BUDGET), &[]);
             prop_assert_eq!(cached.verdict(), plain, "cached outcome diverged on {}", query);
             let Explanation::Unsat(core) = explanation else { continue };
             // (a) The core alone refutes.
             prop_assert!(
-                with_deep_stack(|| core_refutes(&tbox, &core, query, BUDGET)),
+                with_deep_stack(|| core_refutes_cx(&tbox, &core, query, &steps(BUDGET))),
                 "core {:?} does not refute {}", core, query
             );
             // (b) Minimality: dropping any single axiom restores a model.
@@ -163,7 +164,7 @@ proptest! {
                 let mut weakened = core.axioms.clone();
                 let removed = weakened.remove(i);
                 let verdict =
-                    with_deep_stack(|| satisfiable(&tbox.restrict_to(&weakened), query, BUDGET));
+                    with_deep_stack(|| DlOutcome::from(satisfiable_cx(&tbox.restrict_to(&weakened), query, &steps(BUDGET))));
                 prop_assert_eq!(
                     verdict, DlOutcome::Sat,
                     "core for {} is not minimal: still {:?} without {}",
@@ -184,12 +185,12 @@ proptest! {
         let schema = generate(&GenConfig::small(seed));
         let t = orm_dl::translate(&schema);
         for (ty, _) in schema.object_types() {
-            let plain = with_deep_stack(|| t.type_satisfiable(ty, BUDGET));
-            let explanation = t.explain_type(ty, BUDGET);
+            let plain = with_deep_stack(|| DlOutcome::from(t.type_satisfiable_cx(ty, &steps(BUDGET))));
+            let explanation = t.explain_type_cx(ty, &steps(BUDGET));
             prop_assert_eq!(explanation.verdict(), plain);
             if let Explanation::Unsat(core) = explanation {
-                prop_assert!(with_deep_stack(|| core_refutes(
-                    &t.tbox, &core, &t.type_concept(ty), BUDGET
+                prop_assert!(with_deep_stack(|| core_refutes_cx(
+                    &t.tbox, &core, &t.type_concept(ty), &steps(BUDGET)
                 )));
                 prop_assert!(!core.is_empty(), "a named type needs at least one axiom to clash");
                 for id in &core.axioms {
@@ -199,12 +200,12 @@ proptest! {
             }
         }
         for (role, _) in schema.roles() {
-            let plain = with_deep_stack(|| t.role_satisfiable(role, BUDGET));
-            let explanation = t.explain_role(role, BUDGET);
+            let plain = with_deep_stack(|| DlOutcome::from(t.role_satisfiable_cx(role, &steps(BUDGET))));
+            let explanation = t.explain_role_cx(role, &steps(BUDGET));
             prop_assert_eq!(explanation.verdict(), plain);
             if let Explanation::Unsat(core) = explanation {
-                prop_assert!(with_deep_stack(|| core_refutes(
-                    &t.tbox, &core, &t.role_concept(role), BUDGET
+                prop_assert!(with_deep_stack(|| core_refutes_cx(
+                    &t.tbox, &core, &t.role_concept(role), &steps(BUDGET)
                 )));
                 prop_assert!(!t.core_origins(&core).is_empty());
             }
@@ -242,7 +243,9 @@ fn brute_force_muses(tbox: &TBox, query: &Concept, budget: u64) -> Vec<Vec<Axiom
             .filter(|(i, _)| mask >> i & 1 == 1)
             .map(|(_, a)| a)
             .collect();
-        let verdict = with_deep_stack(|| satisfiable(&tbox.restrict_to(&subset), query, budget));
+        let verdict = with_deep_stack(|| {
+            DlOutcome::from(satisfiable_cx(&tbox.restrict_to(&subset), query, &steps(budget)))
+        });
         assert_ne!(verdict, DlOutcome::ResourceLimit, "oracle probe starved on {query}");
         if verdict == DlOutcome::Unsat {
             muses.push((mask, subset));
@@ -269,10 +272,10 @@ proptest! {
         let (tbox, queries) = build(&axioms);
         let mut cache = SatCache::new();
         for query in &queries {
-            let plain = with_deep_stack(|| satisfiable(&tbox, query, ENUM_BUDGET));
-            let enumeration = enumerate_mus(&tbox, query, ENUM_BUDGET, usize::MAX);
+            let plain = with_deep_stack(|| DlOutcome::from(satisfiable_cx(&tbox, query, &steps(ENUM_BUDGET))));
+            let enumeration = enumerate_mus_cx(&tbox, query, &steps(ENUM_BUDGET), usize::MAX);
             prop_assert_eq!(enumeration.verdict(), plain, "outcome diverged on {}", query);
-            let cached = cache.enumerate(&tbox, query, ENUM_BUDGET, usize::MAX);
+            let cached = cache.enumerate_seeded_cx(&tbox, query, &steps(ENUM_BUDGET), usize::MAX, &[]);
             prop_assert_eq!(&cached, &enumeration, "cached family diverged on {}", query);
             let MusEnumeration::Unsat(family) = enumeration else { continue };
             prop_assert!(!family.cores.is_empty());
@@ -280,7 +283,7 @@ proptest! {
             for (i, core) in family.cores.iter().enumerate() {
                 // Soundness: each core refutes alone.
                 prop_assert!(
-                    with_deep_stack(|| core_refutes(&tbox, core, query, ENUM_BUDGET)),
+                    with_deep_stack(|| core_refutes_cx(&tbox, core, query, &steps(ENUM_BUDGET))),
                     "core {:?} does not refute {}", core, query
                 );
                 // Minimality: dropping any single axiom restores a model.
@@ -289,7 +292,7 @@ proptest! {
                     let mut weakened = core.axioms.clone();
                     let removed = weakened.remove(j);
                     let verdict = with_deep_stack(
-                        || satisfiable(&tbox.restrict_to(&weakened), query, ENUM_BUDGET)
+                        || DlOutcome::from(satisfiable_cx(&tbox.restrict_to(&weakened), query, &steps(ENUM_BUDGET)))
                     );
                     prop_assert_eq!(
                         verdict, DlOutcome::Sat,
@@ -320,10 +323,10 @@ proptest! {
         let (tbox, queries) = build(&axioms);
         let all: Vec<AxiomId> = tbox.axiom_ids().collect();
         for query in &queries {
-            let MusEnumeration::Unsat(family) = enumerate_mus(&tbox, query, ENUM_BUDGET, usize::MAX)
+            let MusEnumeration::Unsat(family) = enumerate_mus_cx(&tbox, query, &steps(ENUM_BUDGET), usize::MAX)
                 else { continue };
-            let repairs = ranked_repairs(&tbox, query, ENUM_BUDGET, &family);
-            let rerun = ranked_repairs(&tbox, query, ENUM_BUDGET, &family);
+            let repairs = ranked_repairs_cx(&tbox, query, &steps(ENUM_BUDGET), &family);
+            let rerun = ranked_repairs_cx(&tbox, query, &steps(ENUM_BUDGET), &family);
             prop_assert_eq!(&repairs, &rerun, "ranking unstable on {}", query);
             // Some weakened subsets legitimately starve any finite budget
             // (the ≤1/≥2 counting interplay explodes the search); the
@@ -351,7 +354,7 @@ proptest! {
                 let keep: Vec<AxiomId> =
                     all.iter().copied().filter(|a| !repair.axioms.contains(a)).collect();
                 let verdict =
-                    with_deep_stack(|| satisfiable(&tbox.restrict_to(&keep), query, ENUM_BUDGET));
+                    with_deep_stack(|| DlOutcome::from(satisfiable_cx(&tbox.restrict_to(&keep), query, &steps(ENUM_BUDGET))));
                 prop_assert_eq!(verdict, DlOutcome::Sat, "repair {:?} does not fix {}", repair, query);
                 // No proper subset is a repair: dropping any one axiom
                 // from the repair leaves some enumerated core intact, so
@@ -363,7 +366,7 @@ proptest! {
                         .filter(|a| a == skip || !repair.axioms.contains(a))
                         .collect();
                     let verdict =
-                        with_deep_stack(|| satisfiable(&tbox.restrict_to(&keep), query, ENUM_BUDGET));
+                        with_deep_stack(|| DlOutcome::from(satisfiable_cx(&tbox.restrict_to(&keep), query, &steps(ENUM_BUDGET))));
                     prop_assert_eq!(
                         verdict, DlOutcome::Unsat,
                         "proper subset of {:?} (without {}) already repairs {}", repair, skip, query
@@ -390,7 +393,7 @@ proptest! {
         // Two queries keep the oracle affordable: one atom and the
         // conjunctive pair (the shapes the translation actually asks).
         for query in [&queries[0], &queries[queries.len() - 1]] {
-            let MusEnumeration::Unsat(family) = enumerate_mus(&tbox, query, ENUM_BUDGET, usize::MAX)
+            let MusEnumeration::Unsat(family) = enumerate_mus_cx(&tbox, query, &steps(ENUM_BUDGET), usize::MAX)
                 else {
                     // Oracle agreement for non-Unsat: no subset may refute.
                     let oracle = brute_force_muses(&tbox, query, ENUM_BUDGET);
@@ -415,18 +418,18 @@ proptest! {
         let schema = generate(&GenConfig::small(seed));
         let t = orm_dl::translate(&schema);
         for (ty, _) in schema.object_types() {
-            let plain = with_deep_stack(|| t.type_satisfiable(ty, ENUM_BUDGET));
-            let enumeration = t.enumerate_type(ty, ENUM_BUDGET, 8);
+            let plain = with_deep_stack(|| DlOutcome::from(t.type_satisfiable_cx(ty, &steps(ENUM_BUDGET))));
+            let enumeration = t.enumerate_type_cx(ty, &steps(ENUM_BUDGET), 8);
             prop_assert_eq!(enumeration.verdict(), plain);
             // The cached route replays the identical family.
-            prop_assert_eq!(&t.enumerate_type(ty, ENUM_BUDGET, 8), &enumeration);
+            prop_assert_eq!(&t.enumerate_type_cx(ty, &steps(ENUM_BUDGET), 8), &enumeration);
             let MusEnumeration::Unsat(family) = enumeration else { continue };
             let query = t.type_concept(ty);
             for core in &family.cores {
-                prop_assert!(with_deep_stack(|| core_refutes(&t.tbox, core, &query, ENUM_BUDGET)));
+                prop_assert!(with_deep_stack(|| core_refutes_cx(&t.tbox, core, &query, &steps(ENUM_BUDGET))));
                 prop_assert!(!t.core_origins(core).is_empty());
             }
-            for repair in t.repairs_for(&query, ENUM_BUDGET, &family) {
+            for repair in t.repairs_for_cx(&query, &steps(ENUM_BUDGET), &family) {
                 prop_assert!(repair.verified);
                 prop_assert!(
                     family.cores.iter().all(|c| c.axioms.iter().any(|a| repair.axioms.contains(a)))
@@ -446,7 +449,7 @@ fn multi_contradiction_families_match_ground_truth() {
     for k in 0..4usize {
         let (schema, doomed) = multi_contradiction(k);
         let t = orm_dl::translate(&schema);
-        let enumeration = t.enumerate_type(doomed, 200_000, 64);
+        let enumeration = t.enumerate_type_cx(doomed, &steps(200_000), 64);
         if k == 0 {
             assert_eq!(enumeration, MusEnumeration::Satisfiable);
             continue;
@@ -457,7 +460,7 @@ fn multi_contradiction_families_match_ground_truth() {
         assert_eq!(family.len(), k, "k={k}: {family:?}");
         assert!(family.complete && !family.truncated);
         assert!(family.cores.iter().all(|c| c.minimal && c.len() == 3));
-        let repairs = t.repairs_for(&t.type_concept(doomed), 200_000, &family);
+        let repairs = t.repairs_for_cx(&t.type_concept(doomed), &steps(200_000), &family);
         assert_eq!(repairs.len(), 3usize.pow(k as u32), "k={k}");
         assert!(repairs.iter().all(|r| r.verified && r.len() == k));
     }
@@ -474,7 +477,7 @@ fn fig1_sample_schema_diagnoses_as_documented() {
     ))
     .expect("sample schema readable");
     let schema = orm_syntax::parse(&text).expect("sample schema parses");
-    let diagnoses = orm_reasoner::diagnose(&schema, 200_000);
+    let diagnoses = orm_reasoner::diagnose_cx(&schema, &steps(200_000));
     assert_eq!(diagnoses.len(), 1, "only PhdStudent is doomed: {diagnoses:?}");
     let d = &diagnoses[0];
     assert!(d.core.minimal);

@@ -4,6 +4,7 @@
 
 use orm_core::{fixtures, validate, validate_all, CheckCode, Severity};
 use orm_syntax::{parse, print, verbalize};
+use orm_tests::steps;
 use std::collections::BTreeSet;
 
 /// Each figure, validated from its **builder** fixture.
@@ -100,7 +101,7 @@ fn figures_verbalize_completely() {
 #[test]
 fn two_contradiction_diagnosis_is_pinned() {
     let (schema, doomed) = orm_gen::multi_contradiction(2);
-    let diagnoses = orm_reasoner::diagnose(&schema, 500_000);
+    let diagnoses = orm_reasoner::diagnose_cx(&schema, &steps(500_000));
     assert_eq!(diagnoses.len(), 1, "exactly the doomed type: {diagnoses:?}");
     let d = &diagnoses[0];
     assert_eq!(d.element, orm_reasoner::DiagnosedElement::Type(doomed));
@@ -160,7 +161,7 @@ fn saturation_ring_diagnosis_is_pinned() {
     assert!(!translation.unmapped.is_empty());
     for (role, _) in schema.roles() {
         assert_ne!(
-            translation.role_satisfiable(role, 500_000),
+            orm_dl::DlOutcome::from(translation.role_satisfiable_cx(role, &steps(500_000))),
             orm_dl::DlOutcome::Unsat,
             "the tableau refuted {} without the ring",
             schema.role_label(role)

@@ -10,9 +10,10 @@
 //! next to the cache itself.
 
 use orm_dl::concept::{Concept, RoleExpr};
-use orm_dl::tableau::{satisfiable, subsumes};
+use orm_dl::tableau::{satisfiable_cx, subsumes_cx};
 use orm_dl::tbox::TBox;
 use orm_dl::{SatCache, SatShards};
+use orm_tests::steps;
 use proptest::prelude::*;
 
 const BUDGET: u64 = 150_000;
@@ -140,14 +141,14 @@ proptest! {
                 any_destructive |= apply(&mut tbox, &atoms, &roles, &edits[step - 1]);
             }
             for q in &battery {
-                let fresh = satisfiable(&tbox, q, BUDGET);
+                let fresh = satisfiable_cx(&tbox, q, &steps(BUDGET));
                 prop_assert_eq!(
-                    cache.satisfiable(&tbox, q, BUDGET), fresh,
+                    cache.satisfiable_cx(&tbox, q, &steps(BUDGET)), fresh,
                     "SatCache diverged from fresh run on {} at step {} of {:?}",
                     q, step, edits
                 );
                 prop_assert_eq!(
-                    shards.satisfiable(&tbox, q, BUDGET), fresh,
+                    shards.satisfiable_cx(&tbox, q, &steps(BUDGET)), fresh,
                     "SatShards diverged from fresh run on {} at step {} of {:?}",
                     q, step, edits
                 );
@@ -158,9 +159,9 @@ proptest! {
                     if a == b {
                         continue;
                     }
-                    let fresh = subsumes(&tbox, b, a, BUDGET);
-                    prop_assert_eq!(cache.subsumes(&tbox, b, a, BUDGET), fresh);
-                    prop_assert_eq!(shards.subsumes(&tbox, b, a, BUDGET), fresh);
+                    let fresh = subsumes_cx(&tbox, b, a, &steps(BUDGET));
+                    prop_assert_eq!(cache.subsumes_cx(&tbox, b, a, &steps(BUDGET)), fresh);
+                    prop_assert_eq!(shards.subsumes_cx(&tbox, b, a, &steps(BUDGET)), fresh);
                 }
             }
         }
@@ -189,15 +190,15 @@ proptest! {
         for edit in &edits {
             // Query between edits so the cache has entries to carry over.
             for q in battery.iter().take(3) {
-                warm.satisfiable(&tbox, q, BUDGET);
+                warm.satisfiable_cx(&tbox, q, &steps(BUDGET));
             }
             apply(&mut tbox, &atoms, &roles, edit);
         }
         let mut cold = SatCache::new();
         for q in &battery {
             prop_assert_eq!(
-                warm.satisfiable(&tbox, q, BUDGET),
-                cold.satisfiable(&tbox, q, BUDGET),
+                warm.satisfiable_cx(&tbox, q, &steps(BUDGET)),
+                cold.satisfiable_cx(&tbox, q, &steps(BUDGET)),
                 "survivor entries diverged from a cold cache on {} after {:?}",
                 q, edits
             );
@@ -215,7 +216,7 @@ fn editor_loop_retains_then_clears() {
     let battery = queries(&atoms);
     let mut cache = SatCache::new();
     for q in &battery {
-        cache.satisfiable(&tbox, q, BUDGET);
+        cache.satisfiable_cx(&tbox, q, &steps(BUDGET));
     }
     let misses_after_population = cache.stats().misses;
 
@@ -225,8 +226,8 @@ fn editor_loop_retains_then_clears() {
     tbox.gci(Concept::and([atoms[2].clone(), atoms[3].clone()]), Concept::Bottom);
     tbox.gci(atoms[1].clone(), Concept::some(roles[0]));
     for q in &battery {
-        let cached = cache.satisfiable(&tbox, q, BUDGET);
-        assert_eq!(cached, satisfiable(&tbox, q, BUDGET), "stale verdict for {q}");
+        let cached = cache.satisfiable_cx(&tbox, q, &steps(BUDGET));
+        assert_eq!(cached, satisfiable_cx(&tbox, q, &steps(BUDGET)), "stale verdict for {q}");
     }
     let stats = cache.stats();
     assert_eq!(stats.invalidations, 0, "additions must not clear wholesale");
@@ -240,7 +241,10 @@ fn editor_loop_retains_then_clears() {
     // rebuilds from a clean slate — and sees the un-doomed verdicts.
     tbox.retract_gci(1);
     for q in &battery {
-        assert_eq!(cache.satisfiable(&tbox, q, BUDGET), satisfiable(&tbox, q, BUDGET));
+        assert_eq!(
+            cache.satisfiable_cx(&tbox, q, &steps(BUDGET)),
+            satisfiable_cx(&tbox, q, &steps(BUDGET))
+        );
     }
     assert_eq!(cache.stats().invalidations, 1);
 }

@@ -25,3 +25,9 @@ pub fn tiny_config(seed: u64) -> GenConfig {
 pub fn mappable_config(seed: u64) -> GenConfig {
     GenConfig { value_density: 0.0, ring_density: 0.0, ..tiny_config(seed) }
 }
+
+/// A context granting every proof `n` rule applications — the per-proof
+/// step budget the differential suites run their queries under.
+pub fn steps(n: u64) -> orm_dl::ExecCx {
+    orm_dl::ExecCx::with_steps(n)
+}

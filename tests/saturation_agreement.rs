@@ -28,7 +28,7 @@ use orm_gen::{frequency_value_scenario, generate, ring_scenario};
 use orm_model::{Constraint, Mandatory, RingKind, Schema};
 use orm_population::{check, CheckOptions, Population};
 use orm_reasoner::{role_satisfiability, type_satisfiability, Bounds};
-use orm_tests::{mappable_config, tiny_config};
+use orm_tests::{mappable_config, steps, tiny_config};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -79,7 +79,7 @@ proptest! {
                     certify(&schema, &model);
                     prop_assert!(model.role_populated(&schema, role));
                     prop_assert!(
-                        translation.role_satisfiable(role, DL_BUDGET) != DlOutcome::Unsat,
+                        DlOutcome::from(translation.role_satisfiable_cx(role, &steps(DL_BUDGET))) != DlOutcome::Unsat,
                         "tableau refuted role {} but saturation certified a model",
                         schema.role_label(role)
                     );
@@ -90,7 +90,7 @@ proptest! {
                         "mappable-fragment refutation claims beyond-DL: {refutation:?}"
                     );
                     prop_assert!(
-                        translation.role_satisfiable(role, DL_BUDGET) != DlOutcome::Sat,
+                        DlOutcome::from(translation.role_satisfiable_cx(role, &steps(DL_BUDGET))) != DlOutcome::Sat,
                         "saturation refuted role {} but the tableau says Sat",
                         schema.role_label(role)
                     );
@@ -109,7 +109,7 @@ proptest! {
                     certify(&schema, &model);
                     prop_assert!(model.type_populated(ty));
                     prop_assert!(
-                        translation.type_satisfiable(ty, DL_BUDGET) != DlOutcome::Unsat,
+                        DlOutcome::from(translation.type_satisfiable_cx(ty, &steps(DL_BUDGET))) != DlOutcome::Unsat,
                         "tableau refuted type {} but saturation certified a model",
                         schema.object_type(ty).name()
                     );
@@ -117,7 +117,7 @@ proptest! {
                 SaturationOutcome::Unsat(refutation) => {
                     prop_assert!(!refutation.beyond_dl);
                     prop_assert!(
-                        translation.type_satisfiable(ty, DL_BUDGET) != DlOutcome::Sat,
+                        DlOutcome::from(translation.type_satisfiable_cx(ty, &steps(DL_BUDGET))) != DlOutcome::Sat,
                         "saturation refuted type {} but the tableau says Sat",
                         schema.object_type(ty).name()
                     );
@@ -329,7 +329,7 @@ fn beyond_dl_unsat_pins_saturation_decides_where_tableau_cannot() {
                     assert!(refutation.beyond_dl, "{name}: refutation not beyond DL");
                     assert!(!refutation.origins.is_empty(), "{name}: refutation names no origin");
                     assert_ne!(
-                        translation.role_satisfiable(role, DL_BUDGET),
+                        DlOutcome::from(translation.role_satisfiable_cx(role, &steps(DL_BUDGET))),
                         DlOutcome::Unsat,
                         "{name}: the tableau refuted role {} on its own",
                         schema.role_label(role)

@@ -16,6 +16,7 @@ use orm_dl::{translate, ExecCx, SnapshotError};
 use orm_gen::generate;
 use orm_model::ObjectTypeId;
 use orm_tests::mappable_config;
+use orm_tests::steps;
 use proptest::prelude::*;
 
 const DL_BUDGET: u64 = 120_000;
@@ -51,13 +52,13 @@ proptest! {
         // Every verdict agrees with a never-crashed sequential pass.
         let fresh = translate(&schema);
         prop_assert_eq!(
-            restarted.type_sweep(&schema, DL_BUDGET),
-            fresh.type_sweep(&schema, DL_BUDGET),
+            restarted.type_sweep_cx(&schema, &steps(DL_BUDGET)),
+            fresh.type_sweep_cx(&schema, &steps(DL_BUDGET)),
             "restored type verdicts diverged from the fresh pass"
         );
         prop_assert_eq!(
-            restarted.role_sweep(&schema, DL_BUDGET),
-            fresh.role_sweep(&schema, DL_BUDGET),
+            restarted.role_sweep_cx(&schema, &steps(DL_BUDGET)),
+            fresh.role_sweep_cx(&schema, &steps(DL_BUDGET)),
             "restored role verdicts diverged from the fresh pass"
         );
     }
@@ -74,8 +75,8 @@ proptest! {
     ) {
         let schema = generate(&mappable_config(seed));
         let survivor = translate(&schema);
-        survivor.type_sweep(&schema, DL_BUDGET);
-        survivor.role_sweep(&schema, DL_BUDGET);
+        survivor.type_sweep_cx(&schema, &steps(DL_BUDGET));
+        survivor.role_sweep_cx(&schema, &steps(DL_BUDGET));
         let blob = survivor.snapshot();
 
         // Torn write: the tail never hit the disk.
@@ -94,8 +95,8 @@ proptest! {
         // The cold start is still sound.
         let fresh = translate(&schema);
         prop_assert_eq!(
-            restarted.type_sweep(&schema, DL_BUDGET),
-            fresh.type_sweep(&schema, DL_BUDGET)
+            restarted.type_sweep_cx(&schema, &steps(DL_BUDGET)),
+            fresh.type_sweep_cx(&schema, &steps(DL_BUDGET))
         );
     }
 
@@ -115,8 +116,8 @@ proptest! {
         let b = types[pick_b as usize % types.len()];
 
         let survivor = translate(&schema);
-        survivor.type_sweep(&schema, DL_BUDGET);
-        survivor.role_sweep(&schema, DL_BUDGET);
+        survivor.type_sweep_cx(&schema, &steps(DL_BUDGET));
+        survivor.role_sweep_cx(&schema, &steps(DL_BUDGET));
         let blob = survivor.snapshot();
 
         let mut restarted = translate(&schema);
@@ -133,13 +134,13 @@ proptest! {
             }
         }
         prop_assert_eq!(
-            restarted.type_sweep(&schema, DL_BUDGET),
-            twin.type_sweep(&schema, DL_BUDGET),
+            restarted.type_sweep_cx(&schema, &steps(DL_BUDGET)),
+            twin.type_sweep_cx(&schema, &steps(DL_BUDGET)),
             "restored + edited verdicts diverged from the never-crashed twin"
         );
         prop_assert_eq!(
-            restarted.role_sweep(&schema, DL_BUDGET),
-            twin.role_sweep(&schema, DL_BUDGET)
+            restarted.role_sweep_cx(&schema, &steps(DL_BUDGET)),
+            twin.role_sweep_cx(&schema, &steps(DL_BUDGET))
         );
         let stats = restarted.cache_stats();
         prop_assert_eq!(stats.invalidations, 0, "additions cleared the restored shards");
@@ -155,13 +156,13 @@ fn session_and_service_recovery_end_to_end() {
 
     // InteractiveSession: snapshot, restart, warm hits only.
     let session = orm_reasoner::InteractiveSession::new(&schema);
-    let before_types = session.type_sweep(&schema, DL_BUDGET);
-    let before_roles = session.role_sweep(&schema, DL_BUDGET);
+    let before_types = session.type_sweep_cx(&schema, &steps(DL_BUDGET));
+    let before_roles = session.role_sweep_cx(&schema, &steps(DL_BUDGET));
     let blob = session.snapshot();
     let restarted = orm_reasoner::InteractiveSession::new(&schema);
     restarted.restore(&blob).expect("session snapshot rejected");
-    assert_eq!(restarted.type_sweep(&schema, DL_BUDGET), before_types);
-    assert_eq!(restarted.role_sweep(&schema, DL_BUDGET), before_roles);
+    assert_eq!(restarted.type_sweep_cx(&schema, &steps(DL_BUDGET)), before_types);
+    assert_eq!(restarted.role_sweep_cx(&schema, &steps(DL_BUDGET)), before_roles);
     assert_eq!(restarted.cache_stats().misses, 0, "warm restart re-proved");
 
     // ReasonerService: a snapshot of one host restores into the other —
@@ -169,12 +170,7 @@ fn session_and_service_recovery_end_to_end() {
     let service = orm_serve::ReasonerService::new(&schema, orm_serve::ServiceConfig::default());
     service.restore(&blob).expect("service rejected the session's snapshot");
     let cx = ExecCx::with_steps(DL_BUDGET);
-    let served: Vec<_> = service
-        .type_sweep(&schema, &cx)
-        .expect("idle service shed")
-        .into_iter()
-        .map(|(ty, v)| (ty, orm_dl::DlOutcome::from(v)))
-        .collect();
+    let served = service.type_sweep(&schema, &cx).expect("idle service shed");
     assert_eq!(served, before_types);
 
     // A blob from a *different* schema is a stamp mismatch, not a panic.
