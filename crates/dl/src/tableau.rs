@@ -161,18 +161,14 @@ impl From<SearchOutcome> for DlOutcome {
 /// ```
 /// use orm_dl::concept::Concept;
 /// use orm_dl::exec::ExecCx;
-/// use orm_dl::tableau::{satisfiable_cx, DlOutcome, SearchOutcome};
+/// use orm_dl::tableau::{satisfiable_cx, SearchOutcome};
 /// use orm_dl::tbox::TBox;
 ///
 /// let mut tbox = TBox::new();
 /// let a = Concept::Atomic(tbox.atom("A"));
-/// let b = Concept::Atomic(tbox.atom("B"));
-/// tbox.gci(a.clone(), b.clone());
-/// tbox.gci(Concept::and([a.clone(), b.clone()]), Concept::Bottom);
+/// tbox.gci(a.clone(), Concept::Bottom);
 /// let cx = ExecCx::with_steps(100_000);
-/// // A ⊑ B together with A ⊓ B ⊑ ⊥ dooms A.
 /// assert_eq!(satisfiable_cx(&tbox, &a, &cx), SearchOutcome::Unsat);
-/// assert_eq!(DlOutcome::from(satisfiable_cx(&tbox, &b, &cx)), DlOutcome::Sat);
 /// // A pre-cancelled context stops before proving anything.
 /// let cancelled = ExecCx::unlimited();
 /// cancelled.cancel();
@@ -190,6 +186,27 @@ pub fn satisfiable_cx(tbox: &TBox, query: &Concept, cx: &ExecCx) -> SearchOutcom
 /// otherwise). The witness is what lets [`crate::cache::SatCache`]
 /// revalidate `Sat` entries against later TBox additions without
 /// re-running the tableau.
+///
+/// ```
+/// use orm_dl::concept::Concept;
+/// use orm_dl::exec::ExecCx;
+/// use orm_dl::tableau::{satisfiable_with_witness_cx, DlOutcome, SearchOutcome};
+/// use orm_dl::tbox::TBox;
+///
+/// let mut tbox = TBox::new();
+/// let a = Concept::Atomic(tbox.atom("A"));
+/// let b = Concept::Atomic(tbox.atom("B"));
+/// tbox.gci(a.clone(), b.clone());
+/// tbox.gci(Concept::and([a.clone(), b.clone()]), Concept::Bottom);
+/// let cx = ExecCx::with_steps(100_000);
+/// // A ⊑ B together with A ⊓ B ⊑ ⊥ dooms A.
+/// let (verdict, witness) = satisfiable_with_witness_cx(&tbox, &a, &cx);
+/// assert_eq!(verdict, SearchOutcome::Unsat);
+/// assert!(witness.is_none());
+/// let (verdict, witness) = satisfiable_with_witness_cx(&tbox, &b, &cx);
+/// assert_eq!(DlOutcome::from(verdict), DlOutcome::Sat);
+/// assert!(witness.expect("sat carries a witness").node_count() >= 1);
+/// ```
 pub fn satisfiable_with_witness_cx(
     tbox: &TBox,
     query: &Concept,
