@@ -1013,19 +1013,9 @@ fn tableau_bench(out_path: &str, budget: u64) {
     }
     // Judge the sequential outcomes: tableau agreement on the shared
     // fragment, external witness certification, coverage closure.
-    let certify_witness = |model: &orm_dl::ModelGraph| -> bool {
-        let mut pop = orm_population::Population::new();
-        for (ty, values) in &model.extents {
-            for v in values {
-                pop.add_instance(*ty, v.clone());
-            }
-        }
-        for (fact, tuples) in &model.facts {
-            for (a, b) in tuples {
-                pop.add_fact(*fact, a.clone(), b.clone());
-            }
-        }
-        orm_population::check(&sat_schema, &pop, orm_population::CheckOptions::default()).is_empty()
+    let certify_witness = |model: &orm_population::Population| -> bool {
+        orm_population::check(&sat_schema, model, orm_population::CheckOptions::default())
+            .is_empty()
     };
     let (mut sat_sat, mut sat_unsat, mut sat_unknown, mut sat_beyond) = (0usize, 0, 0, 0);
     let mut sat_certified = true;

@@ -53,8 +53,9 @@
 //! * [`saturation`] — a third engine beside the tableau and the bounded
 //!   model finder: a graph-saturation **model finder**
 //!   ([`SaturationEngine`]) that saturates a small candidate graph to
-//!   fixpoint under ring/value/frequency semantics, verifies every `Sat`
-//!   witness against the population conformance rules, and attributes
+//!   fixpoint under ring/value/frequency semantics, certifies every `Sat`
+//!   witness with the population checker
+//!   ([`orm_model::population::check_indexed`]), and attributes
 //!   every `Unsat` to refuting [`NonDlOrigin`]s — flagging the verdicts
 //!   the DL translation could not have produced (`beyond_dl`); verdicts
 //!   are memoized in revision-stamped [`SaturationShards`];
@@ -111,7 +112,7 @@ pub use explain::{
 };
 pub use orm_to_dl::{translate, AxiomOrigin, EditSession, Translation};
 pub use saturation::{
-    ModelGraph, NonDlOrigin, Refutation, SaturationCacheStats, SaturationEngine, SaturationOutcome,
+    NonDlOrigin, Refutation, SaturationCacheStats, SaturationEngine, SaturationOutcome,
     SaturationShards, SaturationTarget,
 };
 pub use tableau::{

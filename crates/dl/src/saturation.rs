@@ -22,14 +22,16 @@
 //!   constraints living outside the DL fragment — and a
 //!   [`Refutation::beyond_dl`] flag that is `true` exactly when the deciding
 //!   constraints are unmapped in the DL translation.
-//! * **Sat** comes only from a fully constructed and *verified*
-//!   [`ModelGraph`]: the saturation loop seeds the target, discharges
+//! * **Sat** comes only from a fully constructed and *certified*
+//!   [`Population`]: the saturation loop seeds the target, discharges
 //!   mandatory/frequency/subset/totality obligations with ring-aware
 //!   partner policies (self-loops, symmetric mates, three-cycles, sinks),
 //!   pads proper subtypes, assigns distinct values from the effective
-//!   value-constraint intersections, and finally re-checks the candidate
-//!   against a faithful mirror of `orm_population::check`. A candidate that
-//!   fails verification is never reported as a verdict.
+//!   value-constraint intersections, and finally hands the candidate to
+//!   the population checker itself ([`check_indexed`] under the default
+//!   strict semantics, reusing the engine's schema index) — the one
+//!   population semantics every other engine is judged by, not a copy of
+//!   it. A candidate the checker rejects is never reported as a verdict.
 //! * Everything else — node caps, round caps, exhausted value domains —
 //!   surfaces as [`SaturationOutcome::BudgetExhausted`], and an interrupted
 //!   run surfaces as `Cancelled`/`DeadlineExceeded`, never as a verdict.
@@ -37,7 +39,7 @@
 //! Execution control threads the PR 8 [`ExecCx`] end to end: the engine
 //! adapts the context onto the `orm_core::ring::ctl` hook, so the reused
 //! ring-table searches, the doom analysis, the saturation loop and the
-//! verifier all charge the same meter and observe the same budget,
+//! certification all charge the same meter and observe the same budget,
 //! deadline and cancellation token. Decided verdicts are cached in
 //! [`SaturationShards`] — sharded, stamped with [`Schema::revision`], and
 //! never populated by interrupted runs — the same stamp discipline as
@@ -49,6 +51,7 @@ use orm_core::effective_value_cardinality;
 use orm_core::ring::ctl::{RingCtl, RingInterrupt};
 use orm_core::ring::euler::implied_closure;
 use orm_core::ring::table::compatible_ctl;
+use orm_model::population::{check_indexed, CheckOptions, Population};
 use orm_model::{
     Constraint, ConstraintId, FactTypeId, ObjectTypeId, RingKind, RingKinds, RoleId, Schema,
     SchemaIndex, SetComparisonKind, Value, ValueConstraint,
@@ -293,51 +296,12 @@ impl Refutation {
 // The candidate model
 // ---------------------------------------------------------------------------
 
-/// A concrete finite model produced by saturation: value extents per object
-/// type and value-tuple sets per fact type — deliberately the same shape as
-/// `orm_population::Population`, so tests can certify a witness with the
-/// real conformance checker.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct ModelGraph {
-    /// Extent of each populated object type.
-    pub extents: BTreeMap<ObjectTypeId, BTreeSet<Value>>,
-    /// Tuple set of each populated fact type.
-    pub facts: BTreeMap<FactTypeId, BTreeSet<(Value, Value)>>,
-}
-
-impl ModelGraph {
-    /// The extent of `ty` (empty if unpopulated).
-    pub fn extent(&self, ty: ObjectTypeId) -> impl Iterator<Item = &Value> {
-        self.extents.get(&ty).into_iter().flatten()
-    }
-
-    /// Whether `ty` has at least one instance.
-    pub fn type_populated(&self, ty: ObjectTypeId) -> bool {
-        self.extents.get(&ty).is_some_and(|e| !e.is_empty())
-    }
-
-    /// Whether `role`'s column has at least one entry.
-    pub fn role_populated(&self, schema: &Schema, role: RoleId) -> bool {
-        let fact = schema.role(role).fact_type();
-        self.facts.get(&fact).is_some_and(|t| !t.is_empty())
-    }
-
-    /// Total number of instances across all extents.
-    pub fn instance_count(&self) -> usize {
-        self.extents.values().map(BTreeSet::len).sum()
-    }
-
-    /// Total number of tuples across all fact types.
-    pub fn tuple_count(&self) -> usize {
-        self.facts.values().map(BTreeSet::len).sum()
-    }
-}
-
 /// Outcome of one saturation query.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum SaturationOutcome {
-    /// A verified finite model populating the target.
-    Sat(ModelGraph),
+    /// A finite model populating the target, certified by the population
+    /// checker.
+    Sat(Population),
     /// The target is provably unpopulatable; the refutation names the
     /// responsible constraints.
     Unsat(Refutation),
@@ -878,7 +842,7 @@ impl<'a> Candidate<'a> {
     }
 
     /// Whether the column of `role` may receive repeated entries without a
-    /// verifier complaint (drives sink sharing vs fresh partners).
+    /// checker complaint (drives sink sharing vs fresh partners).
     fn column_capped(&self, role: RoleId) -> bool {
         !self.idx.uniqueness_on(&[role]).is_empty()
             || self.idx.frequencies.iter().any(|(_, f)| f.roles.len() == 1 && f.roles[0] == role)
@@ -1218,7 +1182,7 @@ impl<'a> Candidate<'a> {
     /// Assign one distinct value per node: drawn from the effective
     /// value-constraint intersection of its labels when one exists, synthetic
     /// otherwise. Returns `None` when a value domain is exhausted.
-    fn assign_values(&self) -> Option<ModelGraph> {
+    fn assign_values(&self) -> Option<Population> {
         let mut used: BTreeSet<Value> = BTreeSet::new();
         let mut values: Vec<Value> = Vec::with_capacity(self.labels.len());
         for (i, labels) in self.labels.iter().enumerate() {
@@ -1238,23 +1202,22 @@ impl<'a> Candidate<'a> {
             used.insert(value.clone());
             values.push(value);
         }
-        let mut graph = ModelGraph::default();
+        let mut pop = Population::new();
         for (n, labels) in self.labels.iter().enumerate() {
             for t in labels {
-                graph.extents.entry(*t).or_default().insert(values[n].clone());
+                pop.add_instance(*t, values[n].clone());
             }
         }
         for (fact, tuples) in &self.edges {
-            let entry = graph.facts.entry(*fact).or_default();
             for &(a, b) in tuples {
-                entry.insert((values[a].clone(), values[b].clone()));
+                pop.add_fact(*fact, values[a].clone(), values[b].clone());
             }
         }
-        Some(graph)
+        Some(pop)
     }
 
-    /// Run the saturation loop to fixpoint and hand back the valued graph.
-    fn saturate(&mut self, ctl: &mut dyn RingCtl) -> Result<Option<ModelGraph>, RingInterrupt> {
+    /// Run the saturation loop to fixpoint and hand back its valued population.
+    fn saturate(&mut self, ctl: &mut dyn RingCtl) -> Result<Option<Population>, RingInterrupt> {
         for _round in 0..MAX_ROUNDS {
             ctl.on_step(1)?;
             let before = self.fingerprint();
@@ -1276,247 +1239,31 @@ impl<'a> Candidate<'a> {
 }
 
 // ---------------------------------------------------------------------------
-// Verification — an independent mirror of the population conformance rules
+// Verification — the population checker itself
 // ---------------------------------------------------------------------------
 
-fn column<'g>(
-    graph: &'g ModelGraph,
-    schema: &Schema,
-    role: RoleId,
-) -> impl Iterator<Item = &'g Value> + 'g {
-    let r = schema.role(role);
-    let pos = r.position();
-    graph
-        .facts
-        .get(&r.fact_type())
-        .into_iter()
-        .flatten()
-        .map(move |(a, b)| if pos == 0 { a } else { b })
-}
-
-fn oriented<'g>(
-    graph: &'g ModelGraph,
-    schema: &Schema,
-    seq: &orm_model::RoleSeq,
-) -> BTreeSet<(&'g Value, &'g Value)> {
-    let first = schema.role(seq.roles()[0]);
-    graph
-        .facts
-        .get(&first.fact_type())
-        .into_iter()
-        .flatten()
-        .map(|(a, b)| if first.position() == 0 { (a, b) } else { (b, a) })
-        .collect()
-}
-
-fn tuples_satisfy_ring(tuples: &BTreeSet<(Value, Value)>, kind: RingKind) -> bool {
-    let holds = |x: &Value, y: &Value| tuples.contains(&(x.clone(), y.clone()));
-    let nodes: BTreeSet<&Value> = tuples.iter().flat_map(|(a, b)| [a, b]).collect();
-    match kind {
-        RingKind::Irreflexive => tuples.iter().all(|(a, b)| a != b),
-        RingKind::Antisymmetric => tuples.iter().all(|(a, b)| a == b || !holds(b, a)),
-        RingKind::Asymmetric => tuples.iter().all(|(a, b)| !holds(b, a)),
-        RingKind::Symmetric => tuples.iter().all(|(a, b)| holds(b, a)),
-        RingKind::Intransitive => {
-            tuples.iter().all(|(a, b)| nodes.iter().all(|c| !(holds(b, c) && holds(a, c))))
-        }
-        RingKind::Acyclic => {
-            // Iterative DFS with an explicit on-stack set.
-            let mut done: BTreeSet<&Value> = BTreeSet::new();
-            for start in &nodes {
-                if done.contains(*start) {
-                    continue;
-                }
-                let mut stack: Vec<(&Value, Vec<&Value>)> = vec![(
-                    start,
-                    tuples.iter().filter(|(a, _)| a == *start).map(|(_, b)| b).collect(),
-                )];
-                let mut on_path: BTreeSet<&Value> = BTreeSet::new();
-                on_path.insert(start);
-                while let Some((node, succs)) = stack.last_mut() {
-                    match succs.pop() {
-                        Some(next) => {
-                            if on_path.contains(next) {
-                                return false;
-                            }
-                            if done.contains(next) {
-                                continue;
-                            }
-                            on_path.insert(next);
-                            let next_succs =
-                                tuples.iter().filter(|(a, _)| a == next).map(|(_, b)| b).collect();
-                            stack.push((next, next_succs));
-                        }
-                        None => {
-                            on_path.remove(*node);
-                            done.insert(node);
-                            stack.pop();
-                        }
-                    }
-                }
-            }
-            true
-        }
-    }
-}
-
-/// Check a candidate graph against the full population conformance rules
-/// (set semantics, proper subtypes, implicit type exclusion — the defaults
-/// of the population checker). Returns `Ok(false)` on any violation; the
-/// engine treats that as "no verdict", never as `Unsat`.
-fn verify(
-    graph: &ModelGraph,
-    schema: &Schema,
-    idx: &SchemaIndex,
-    ctl: &mut dyn RingCtl,
-) -> Result<bool, RingInterrupt> {
-    // Fact conformity: tuple entries instance their role players.
-    for (fact, tuples) in &graph.facts {
-        ctl.on_step(1)?;
-        let ft = schema.fact_type(*fact);
-        let (p0, p1) = (schema.player(ft.first()), schema.player(ft.second()));
-        for (a, b) in tuples {
-            if !graph.extents.get(&p0).is_some_and(|e| e.contains(a))
-                || !graph.extents.get(&p1).is_some_and(|e| e.contains(b))
-            {
-                return Ok(false);
-            }
-        }
-    }
-    // Own value constraints.
-    for (ty, extent) in &graph.extents {
-        ctl.on_step(1)?;
-        if let Some(vc) = schema.object_type(*ty).value_constraint() {
-            if extent.iter().any(|v| !vc.admits(v)) {
-                return Ok(false);
-            }
-        }
-    }
-    // Subtyping (proper) and implicit type exclusion.
-    let extent_of = |t: ObjectTypeId| graph.extents.get(&t).cloned().unwrap_or_default();
-    for link in schema.subtype_links() {
-        ctl.on_step(1)?;
-        let (sub, sup) = (extent_of(link.sub), extent_of(link.sup));
-        if !sub.is_subset(&sup) {
-            return Ok(false);
-        }
-        if !sub.is_empty() && sub == sup {
-            return Ok(false);
-        }
-    }
-    let types: Vec<ObjectTypeId> = graph.extents.keys().copied().collect();
-    for (i, a) in types.iter().enumerate() {
-        for b in &types[i + 1..] {
-            ctl.on_step(1)?;
-            if !idx.may_overlap(*a, *b) && extent_of(*a).intersection(&extent_of(*b)).count() > 0 {
-                return Ok(false);
-            }
-        }
-    }
-    // Explicit constraints.
-    for (_, c) in schema.constraints() {
-        ctl.on_step(1)?;
-        match c {
-            Constraint::Mandatory(m) => {
-                let player = schema.player(m.roles[0]);
-                for v in graph.extent(player) {
-                    let covered = m.roles.iter().any(|r| column(graph, schema, *r).any(|x| x == v));
-                    if !covered {
-                        return Ok(false);
-                    }
-                }
-            }
-            Constraint::Uniqueness(u) => {
-                if u.roles.len() == 1 {
-                    let values: Vec<&Value> = column(graph, schema, u.roles[0]).collect();
-                    let distinct: BTreeSet<&Value> = values.iter().copied().collect();
-                    if values.len() != distinct.len() {
-                        return Ok(false);
-                    }
-                }
-                // A spanning uniqueness is tuple-level identity — free under
-                // set semantics.
-            }
-            Constraint::Frequency(f) => {
-                if f.roles.len() == 1 {
-                    let values: Vec<&Value> = column(graph, schema, f.roles[0]).collect();
-                    let distinct: BTreeSet<&Value> = values.iter().copied().collect();
-                    for v in distinct {
-                        let count = values.iter().filter(|x| **x == v).count() as u32;
-                        if count < f.min || f.max.is_some_and(|m| count > m) {
-                            return Ok(false);
-                        }
-                    }
-                } else {
-                    // Spanning frequency: each tuple is its own group of 1.
-                    let fact = schema.role(f.roles[0]).fact_type();
-                    let populated = graph.facts.get(&fact).is_some_and(|t| !t.is_empty());
-                    if populated && (f.min > 1 || f.max == Some(0)) {
-                        return Ok(false);
-                    }
-                }
-            }
-            Constraint::SetComparison(sc) => {
-                let sets: Vec<BTreeSet<(&Value, &Value)>> = if sc.over_single_roles() {
-                    sc.args
-                        .iter()
-                        .map(|seq| column(graph, schema, seq.roles()[0]).map(|v| (v, v)).collect())
-                        .collect()
-                } else {
-                    sc.args.iter().map(|seq| oriented(graph, schema, seq)).collect()
-                };
-                match sc.kind {
-                    SetComparisonKind::Subset => {
-                        if !sets[0].is_subset(&sets[1]) {
-                            return Ok(false);
-                        }
-                    }
-                    SetComparisonKind::Equality => {
-                        if sets.windows(2).any(|w| w[0] != w[1]) {
-                            return Ok(false);
-                        }
-                    }
-                    SetComparisonKind::Exclusion => {
-                        for (i, a) in sets.iter().enumerate() {
-                            for b in &sets[i + 1..] {
-                                if a.intersection(b).count() > 0 {
-                                    return Ok(false);
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-            Constraint::ExclusiveTypes(e) => {
-                for (i, a) in e.types.iter().enumerate() {
-                    for b in &e.types[i + 1..] {
-                        if extent_of(*a).intersection(&extent_of(*b)).count() > 0 {
-                            return Ok(false);
-                        }
-                    }
-                }
-            }
-            Constraint::TotalSubtypes(t) => {
-                let mut union: BTreeSet<Value> = BTreeSet::new();
-                for s in &t.subtypes {
-                    union.extend(extent_of(*s));
-                }
-                if !extent_of(t.supertype).is_subset(&union) {
-                    return Ok(false);
-                }
-            }
-            Constraint::Ring(r) => {
-                let Some(tuples) = graph.facts.get(&r.fact_type) else { continue };
-                for kind in r.kinds.iter() {
-                    ctl.on_step(1)?;
-                    if !tuples_satisfy_ring(tuples, kind) {
-                        return Ok(false);
-                    }
-                }
-            }
-        }
-    }
-    Ok(true)
+/// Steps a candidate's certification is charged before the checker runs:
+/// one per populated fact table, populated extent, subtype link, pair of
+/// populated types and constraint, plus one per ring kind on a populated
+/// fact table. Charging them keeps budgets and cancellation bounding
+/// verification as they bound saturation.
+fn verification_steps(schema: &Schema, pop: &Population) -> u64 {
+    let facts = schema.fact_types().filter(|(f, _)| pop.fact_count(*f) > 0).count();
+    let types = schema.object_types().filter(|(t, _)| pop.type_populated(*t)).count();
+    let ring_kinds: usize = schema
+        .constraints()
+        .filter_map(|(_, c)| match c {
+            Constraint::Ring(r) if pop.fact_count(r.fact_type) > 0 => Some(r.kinds.len()),
+            _ => None,
+        })
+        .sum();
+    let items = facts
+        + types
+        + schema.subtype_links().count()
+        + types * types.saturating_sub(1) / 2
+        + schema.constraints().count()
+        + ring_kinds;
+    items as u64
 }
 
 // ---------------------------------------------------------------------------
@@ -1527,7 +1274,7 @@ const SHARD_COUNT: usize = 8;
 
 #[derive(Clone)]
 enum Decided {
-    Sat(ModelGraph),
+    Sat(Population),
     Unsat(Refutation),
 }
 
@@ -1671,7 +1418,7 @@ impl<'s> SaturationEngine<'s> {
         self.cache.validate(self.schema.revision());
         if let Some(decided) = self.cache.probe(target) {
             return match decided {
-                Decided::Sat(graph) => SaturationOutcome::Sat(graph),
+                Decided::Sat(pop) => SaturationOutcome::Sat(pop),
                 Decided::Unsat(refutation) => SaturationOutcome::Unsat(refutation),
             };
         }
@@ -1709,17 +1456,20 @@ impl<'s> SaturationEngine<'s> {
         match candidate.saturate(&mut ctl) {
             Err(i) => interrupted(i),
             Ok(None) => SaturationOutcome::BudgetExhausted,
-            Ok(Some(graph)) => match verify(&graph, self.schema, &self.idx, &mut ctl) {
-                Err(i) => interrupted(i),
-                // A candidate that fails its own verification is no verdict
-                // at all: Sat needs a certified witness, Unsat a refutation.
-                Ok(false) => SaturationOutcome::BudgetExhausted,
-                Ok(true) => {
-                    self.cache.record(target, Decided::Sat(graph.clone()));
-                    cx.note_proof();
-                    SaturationOutcome::Sat(graph)
+            Ok(Some(pop)) => {
+                if let Err(i) = ctl.on_step(verification_steps(self.schema, &pop)) {
+                    return interrupted(i);
                 }
-            },
+                // A candidate the checker rejects is no verdict at all: Sat
+                // needs a certified witness, Unsat a refutation.
+                if !check_indexed(self.schema, &self.idx, &pop, CheckOptions::default()).is_empty()
+                {
+                    return SaturationOutcome::BudgetExhausted;
+                }
+                self.cache.record(target, Decided::Sat(pop.clone()));
+                cx.note_proof();
+                SaturationOutcome::Sat(pop)
+            }
         }
     }
 
@@ -1767,6 +1517,7 @@ impl<'s> SaturationEngine<'s> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use orm_model::population::check;
     use orm_model::{RingKind, SchemaBuilder};
     use std::time::Duration;
 
@@ -1836,12 +1587,12 @@ mod tests {
             let s = ring_schema(&[kind]);
             let engine = SaturationEngine::new(&s);
             let out = engine.check_role(first_role(&s), &ExecCx::unlimited());
-            let SaturationOutcome::Sat(graph) = out else {
+            let SaturationOutcome::Sat(pop) = out else {
                 panic!("{kind}: expected Sat, got {out:?}");
             };
-            assert!(graph.role_populated(&s, first_role(&s)), "{kind}: witness unpopulated");
+            assert!(pop.role_populated(&s, first_role(&s)), "{kind}: witness unpopulated");
             assert!(
-                verify(&graph, &s, &engine.idx, &mut CxCtl::new(&ExecCx::unlimited())).unwrap(),
+                check(&s, &pop, CheckOptions::default()).is_empty(),
                 "{kind}: witness fails verification"
             );
         }

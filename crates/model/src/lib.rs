@@ -45,6 +45,12 @@
 //! arities, empty constraint argument lists). It deliberately **accepts
 //! semantically contradictory schemas** — detecting those is the job of the
 //! `orm-core` validator, exactly as in the paper's DogmaModeler setting.
+//!
+//! The [`population`] module gives schemas their meaning: a
+//! [`population::Population`] interprets every type and fact type, and
+//! [`population::check`] decides whether it is a model. It lives here,
+//! below every engine, so that the saturation engine, the bounded model
+//! finder and the bulk checker all certify with the same semantics.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -56,6 +62,7 @@ mod fact_type;
 mod ids;
 mod index;
 mod object_type;
+pub mod population;
 mod schema;
 mod subtype;
 mod value;

@@ -1,6 +1,48 @@
-//! Concrete populations: type extents and fact tables.
+//! Model-theoretic semantics: concrete populations and the checker that
+//! decides whether one is a model of a schema.
+//!
+//! A [`Population`] assigns a set of instances to every object type and a
+//! set of tuples to every (binary) fact type. [`check`] decides whether a
+//! population *satisfies* a schema — the formal semantics from
+//! \[H89\]/\[BHW91\] that the paper's satisfiability notions are defined
+//! against:
+//!
+//! * **weak (schema) satisfiability** — some population satisfies the
+//!   schema (the all-empty population always does for this constraint
+//!   language, as the paper's Fig. 1 discussion illustrates);
+//! * **concept satisfiability** — a satisfying population populates the
+//!   queried object types;
+//! * **strong (role) satisfiability** — a satisfying population populates
+//!   the queried roles.
+//!
+//! This is the one population semantics of the workspace. It lives in the
+//! metamodel crate so that every engine can certify its witnesses with it:
+//! the saturation engine in `orm-dl`, the bounded finder in
+//! `orm-reasoner`, and the compiled bulk checker in `orm-population`
+//! (which also re-exports this module). The six ring kinds are evaluated
+//! in one place, [`ring_witness`], for the checker, the compiled plan and
+//! the finder alike.
+//!
+//! The checker reports precise [`Violation`]s, which makes it usable both
+//! as the ground truth for the pattern checkers (see the cross-validation
+//! tests) and as a data-validation utility in its own right. Two semantic
+//! switches from the paper are configurable via [`CheckOptions`]:
+//!
+//! * `proper_subtypes` — \[H01\]'s *strict* subset semantics for subtypes,
+//!   the premise of Pattern 9;
+//! * `implicit_type_exclusion` — ORM's convention that object types are
+//!   mutually exclusive unless connected through the subtype graph, the
+//!   premise of Pattern 1.
 
-use orm_model::{FactTypeId, ObjectTypeId, RoleId, Schema, Value};
+mod check;
+mod ring;
+mod violation;
+
+pub use check::{check, check_indexed, satisfies, CheckOptions};
+pub use ring::ring_witness;
+pub use violation::Violation;
+
+use crate::{FactTypeId, ObjectTypeId, RoleId, Schema, Value};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::sync::OnceLock;
@@ -152,7 +194,7 @@ impl fmt::Display for Population {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use orm_model::SchemaBuilder;
+    use crate::SchemaBuilder;
 
     #[test]
     fn extents_are_sets() {

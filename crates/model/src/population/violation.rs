@@ -1,6 +1,6 @@
 //! Constraint violations found while checking a population.
 
-use orm_model::{ConstraintId, ObjectTypeId, RingKind, RoleId, Schema, Value};
+use crate::{ConstraintId, ObjectTypeId, RingKind, RoleId, Schema, Value};
 use std::fmt;
 
 /// One way a population fails to satisfy a schema.
@@ -172,7 +172,7 @@ impl fmt::Display for Violation {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use orm_model::SchemaBuilder;
+    use crate::SchemaBuilder;
 
     #[test]
     fn render_resolves_names() {

@@ -19,12 +19,12 @@
 //!   bitset** over the interned universe (O(1) `contains`, word-wise
 //!   intersection/difference);
 //! * per fact type, a lexicographically sorted **tuple column** of id
-//!   pairs (group-count scans, binary-search `holds(x, y)` for ring
-//!   checks);
+//!   pairs (group-count scans, and the sorted relation the shared
+//!   [`crate::ring_witness`] evaluator takes);
 //! * per role, the sorted deduplicated **projection column** and its
 //!   bitset (mandatory and set-comparison primitives).
 
-use crate::population::Population;
+use crate::Population;
 use orm_model::{Schema, Value};
 use std::collections::BTreeSet;
 

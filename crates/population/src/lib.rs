@@ -1,433 +1,33 @@
-//! # orm-population — model-theoretic semantics for ORM schemas
+//! # orm-population — bulk conformance checking for ORM populations
 //!
-//! A [`Population`] assigns a set of instances to every object type and a
-//! set of tuples to every (binary) fact type. [`check`] decides whether a
-//! population *satisfies* a schema — the formal semantics from
-//! \[H89\]/\[BHW91\] that the paper's satisfiability notions are defined
-//! against:
+//! The population semantics itself — [`Population`], [`check`],
+//! [`Violation`], [`CheckOptions`] — lives in [`orm_model::population`],
+//! below every engine, so that the saturation engine and the bounded
+//! finder certify their witnesses with the same checker. This crate
+//! re-exports it unchanged (so every `orm_population::…` path resolves)
+//! and adds the data-scale path on top:
 //!
-//! * **weak (schema) satisfiability** — some population satisfies the
-//!   schema (the all-empty population always does for this constraint
-//!   language, as the paper's Fig. 1 discussion illustrates);
-//! * **concept satisfiability** — a satisfying population populates the
-//!   queried object types;
-//! * **strong (role) satisfiability** — a satisfying population populates
-//!   the queried roles.
-//!
-//! The checker reports precise [`Violation`]s, which makes it usable both
-//! as the ground truth for the pattern checkers (see the cross-validation
-//! tests) and as a data-validation utility in its own right.
-//!
-//! Two semantic switches from the paper are configurable via
-//! [`CheckOptions`]:
-//!
-//! * `proper_subtypes` — \[H01\]'s *strict* subset semantics for subtypes,
-//!   the premise of Pattern 9;
-//! * `implicit_type_exclusion` — ORM's convention that object types are
-//!   mutually exclusive unless connected through the subtype graph, the
-//!   premise of Pattern 1.
+//! * [`ColumnarPopulation`] — a population frozen into interned, sorted
+//!   id columns and bitsets;
+//! * [`CheckPlan`] — a schema's constraints compiled once, certified by a
+//!   tableau sweep, then executed over columnar populations. It reports
+//!   exactly the violation sequence [`check`] reports.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod columnar;
 pub mod plan;
-mod population;
-mod violation;
 
 pub use columnar::{BitSet, ColumnarPopulation};
+pub use orm_model::population::*;
 pub use plan::CheckPlan;
-pub use population::Population;
-pub use violation::Violation;
 
-use orm_model::{
-    Constraint, ConstraintId, FactTypeId, ObjectTypeId, RingKind, RoleSeq, Schema, SchemaIndex,
-    Value,
-};
-use std::collections::{BTreeMap, BTreeSet};
-
-/// Semantic switches for [`check`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct CheckOptions {
-    /// Enforce strict (proper) subset semantics for subtypes: a non-empty
-    /// subtype population must differ from its supertype's (\[H01\]).
-    pub proper_subtypes: bool,
-    /// Enforce ORM's implicit mutual exclusion of object types that share
-    /// no common supertype.
-    pub implicit_type_exclusion: bool,
-}
-
-impl Default for CheckOptions {
-    fn default() -> Self {
-        CheckOptions { proper_subtypes: true, implicit_type_exclusion: true }
-    }
-}
-
-impl CheckOptions {
-    /// Plain subset semantics, no implicit exclusion — the permissive
-    /// reading some ORM dialects use.
-    pub fn permissive() -> Self {
-        CheckOptions { proper_subtypes: false, implicit_type_exclusion: false }
-    }
-}
-
-/// Check `pop` against every constraint of `schema`; returns all
-/// violations (empty = the population is a model of the schema).
-pub fn check(schema: &Schema, pop: &Population, options: CheckOptions) -> Vec<Violation> {
-    let idx = schema.index();
-    let mut out = Vec::new();
-    check_conformity(schema, pop, &mut out);
-    check_value_constraints(schema, pop, &mut out);
-    check_subtyping(schema, pop, options, &mut out);
-    if options.implicit_type_exclusion {
-        check_implicit_exclusion(schema, &idx, pop, &mut out);
-    }
-    for (cid, c) in schema.constraints() {
-        match c {
-            Constraint::Mandatory(m) => check_mandatory(schema, pop, cid, &m.roles, &mut out),
-            Constraint::Uniqueness(u) => {
-                check_counting(schema, pop, cid, &u.roles, 1, Some(1), true, &mut out)
-            }
-            Constraint::Frequency(f) => {
-                check_counting(schema, pop, cid, &f.roles, f.min, f.max, false, &mut out)
-            }
-            Constraint::SetComparison(sc) => check_set_comparison(schema, pop, cid, sc, &mut out),
-            Constraint::ExclusiveTypes(e) => {
-                check_exclusive_types(schema, pop, cid, &e.types, &mut out)
-            }
-            Constraint::TotalSubtypes(t) => {
-                check_totality(schema, pop, cid, t.supertype, &t.subtypes, &mut out)
-            }
-            Constraint::Ring(r) => check_ring(schema, pop, cid, r, &mut out),
-        }
-    }
-    out
-}
-
-/// Whether `pop` is a model of `schema` under `options`.
-pub fn satisfies(schema: &Schema, pop: &Population, options: CheckOptions) -> bool {
-    check(schema, pop, options).is_empty()
-}
-
-fn check_conformity(schema: &Schema, pop: &Population, out: &mut Vec<Violation>) {
-    for (fid, ft) in schema.fact_types() {
-        let players = [schema.player(ft.first()), schema.player(ft.second())];
-        for (a, b) in pop.tuples(fid) {
-            for (value, (role, player)) in [a, b].iter().zip(ft.roles().into_iter().zip(players)) {
-                if !pop.extent(player).contains(value) {
-                    out.push(Violation::Conformity { role, value: (*value).clone(), player });
-                }
-            }
-        }
-    }
-}
-
-fn check_value_constraints(schema: &Schema, pop: &Population, out: &mut Vec<Violation>) {
-    for (ty, ot) in schema.object_types() {
-        let Some(vc) = ot.value_constraint() else { continue };
-        for v in pop.extent(ty) {
-            if !vc.admits(v) {
-                out.push(Violation::ValueConstraint { ty, value: v.clone() });
-            }
-        }
-    }
-}
-
-fn check_subtyping(
-    schema: &Schema,
-    pop: &Population,
-    options: CheckOptions,
-    out: &mut Vec<Violation>,
-) {
-    for link in schema.subtype_links() {
-        let sub = pop.extent(link.sub);
-        let sup = pop.extent(link.sup);
-        for v in sub {
-            if !sup.contains(v) {
-                out.push(Violation::SubtypeNotSubset {
-                    sub: link.sub,
-                    sup: link.sup,
-                    value: v.clone(),
-                });
-            }
-        }
-        if options.proper_subtypes && !sub.is_empty() && sub == sup {
-            out.push(Violation::SubtypeNotProper { sub: link.sub, sup: link.sup });
-        }
-    }
-}
-
-fn check_implicit_exclusion(
-    schema: &Schema,
-    idx: &SchemaIndex,
-    pop: &Population,
-    out: &mut Vec<Violation>,
-) {
-    let types: Vec<ObjectTypeId> = schema.object_types().map(|(id, _)| id).collect();
-    for (i, &a) in types.iter().enumerate() {
-        for &b in types.iter().skip(i + 1) {
-            if idx.may_overlap(a, b) {
-                continue;
-            }
-            for v in pop.extent(a).intersection(pop.extent(b)) {
-                out.push(Violation::ImplicitExclusion { a, b, value: v.clone() });
-            }
-        }
-    }
-}
-
-fn check_mandatory(
-    schema: &Schema,
-    pop: &Population,
-    constraint: ConstraintId,
-    roles: &[orm_model::RoleId],
-    out: &mut Vec<Violation>,
-) {
-    let player = schema.player(roles[0]);
-    for v in pop.extent(player) {
-        // `role_values` scans the fact column in place — no per-(value,
-        // role) `BTreeSet` is materialized just to ask `contains`.
-        let plays_one = roles.iter().any(|r| pop.role_values(schema, *r).any(|w| w == v));
-        if !plays_one {
-            out.push(Violation::Mandatory { constraint, value: v.clone() });
-        }
-    }
-}
-
-/// Shared counting semantics for uniqueness (`min=max=1`) and frequency
-/// constraints: group the fact table by the projection onto the covered
-/// roles, then bound each group's size.
-#[allow(clippy::too_many_arguments)]
-fn check_counting(
-    schema: &Schema,
-    pop: &Population,
-    constraint: ConstraintId,
-    roles: &[orm_model::RoleId],
-    min: u32,
-    max: Option<u32>,
-    is_uniqueness: bool,
-    out: &mut Vec<Violation>,
-) {
-    let fact = schema.role(roles[0]).fact_type();
-    let positions: Vec<u8> = roles.iter().map(|r| schema.role(*r).position()).collect();
-    let mut groups: BTreeMap<Vec<Value>, u32> = BTreeMap::new();
-    for (a, b) in pop.tuples(fact) {
-        let key: Vec<Value> =
-            positions.iter().map(|p| if *p == 0 { a.clone() } else { b.clone() }).collect();
-        *groups.entry(key).or_insert(0) += 1;
-    }
-    for (combo, count) in groups {
-        let too_few = count < min;
-        let too_many = max.is_some_and(|m| count > m);
-        if too_few || too_many {
-            if is_uniqueness {
-                out.push(Violation::Uniqueness { constraint, combo, count });
-            } else {
-                out.push(Violation::Frequency { constraint, combo, count, min, max });
-            }
-        }
-    }
-}
-
-fn seq_population(schema: &Schema, pop: &Population, seq: &RoleSeq) -> BTreeSet<Vec<Value>> {
-    match seq.roles() {
-        [r] => pop.role_values(schema, *r).map(|v| vec![v.clone()]).collect(),
-        [a, b] => {
-            let fact = schema.role(*a).fact_type();
-            let (pa, pb) = (schema.role(*a).position(), schema.role(*b).position());
-            pop.tuples(fact)
-                .map(|(x, y)| {
-                    let pick = |p: u8| if p == 0 { x.clone() } else { y.clone() };
-                    vec![pick(pa), pick(pb)]
-                })
-                .collect()
-        }
-        _ => unreachable!("role sequences have length 1 or 2"),
-    }
-}
-
-fn check_set_comparison(
-    schema: &Schema,
-    pop: &Population,
-    constraint: ConstraintId,
-    sc: &orm_model::SetComparison,
-    out: &mut Vec<Violation>,
-) {
-    use orm_model::SetComparisonKind::*;
-    let pops: Vec<BTreeSet<Vec<Value>>> =
-        sc.args.iter().map(|seq| seq_population(schema, pop, seq)).collect();
-    match sc.kind {
-        Subset => {
-            for item in pops[0].difference(&pops[1]) {
-                out.push(Violation::SetComparison {
-                    constraint,
-                    detail: format!("{item:?} is in the sub-population but not the super"),
-                });
-            }
-        }
-        Equality => {
-            for (i, p) in pops.iter().enumerate().skip(1) {
-                if p != &pops[0] {
-                    out.push(Violation::SetComparison {
-                        constraint,
-                        detail: format!("argument {i} differs from argument 0"),
-                    });
-                }
-            }
-        }
-        Exclusion => {
-            for i in 0..pops.len() {
-                for j in (i + 1)..pops.len() {
-                    for item in pops[i].intersection(&pops[j]) {
-                        out.push(Violation::SetComparison {
-                            constraint,
-                            detail: format!("{item:?} occurs in arguments {i} and {j}"),
-                        });
-                    }
-                }
-            }
-        }
-    }
-}
-
-fn check_exclusive_types(
-    _schema: &Schema,
-    pop: &Population,
-    constraint: ConstraintId,
-    types: &[ObjectTypeId],
-    out: &mut Vec<Violation>,
-) {
-    for (i, &a) in types.iter().enumerate() {
-        for &b in types.iter().skip(i + 1) {
-            for v in pop.extent(a).intersection(pop.extent(b)) {
-                out.push(Violation::ExclusiveTypes { constraint, value: v.clone() });
-            }
-        }
-    }
-}
-
-fn check_totality(
-    _schema: &Schema,
-    pop: &Population,
-    constraint: ConstraintId,
-    supertype: ObjectTypeId,
-    subtypes: &[ObjectTypeId],
-    out: &mut Vec<Violation>,
-) {
-    for v in pop.extent(supertype) {
-        if !subtypes.iter().any(|s| pop.extent(*s).contains(v)) {
-            out.push(Violation::Totality { constraint, value: v.clone() });
-        }
-    }
-}
-
-fn check_ring(
-    schema: &Schema,
-    pop: &Population,
-    constraint: ConstraintId,
-    ring: &orm_model::Ring,
-    out: &mut Vec<Violation>,
-) {
-    let _ = schema;
-    let tuples: BTreeSet<(Value, Value)> = pop.tuples(ring.fact_type).cloned().collect();
-    let holds = |x: &Value, y: &Value| tuples.contains(&(x.clone(), y.clone()));
-    for kind in ring.kinds.iter() {
-        let violated: Option<String> = match kind {
-            RingKind::Irreflexive => {
-                tuples.iter().find(|(x, y)| x == y).map(|(x, _)| format!("self-pair ({x}, {x})"))
-            }
-            RingKind::Antisymmetric => tuples
-                .iter()
-                .find(|(x, y)| x != y && holds(y, x))
-                .map(|(x, y)| format!("both ({x}, {y}) and ({y}, {x}) present")),
-            RingKind::Asymmetric => tuples
-                .iter()
-                .find(|(x, y)| holds(y, x))
-                .map(|(x, y)| format!("both ({x}, {y}) and ({y}, {x}) present")),
-            RingKind::Symmetric => tuples
-                .iter()
-                .find(|(x, y)| !holds(y, x))
-                .map(|(x, y)| format!("({x}, {y}) present without ({y}, {x})")),
-            RingKind::Intransitive => {
-                let mut found = None;
-                'outer: for (x, y) in &tuples {
-                    for (y2, z) in &tuples {
-                        if y == y2 && holds(x, z) {
-                            found = Some(format!("({x}, {y}), ({y}, {z}) and ({x}, {z}) present"));
-                            break 'outer;
-                        }
-                    }
-                }
-                found
-            }
-            RingKind::Acyclic => find_cycle(&tuples).map(|cycle| {
-                let names: Vec<String> = cycle.iter().map(Value::to_string).collect();
-                format!("cycle through {}", names.join(" -> "))
-            }),
-        };
-        if let Some(witness) = violated {
-            out.push(Violation::Ring { constraint, kind, witness });
-        }
-    }
-}
-
-/// Find a directed cycle in the relation, if any, returning its nodes.
-fn find_cycle(tuples: &BTreeSet<(Value, Value)>) -> Option<Vec<Value>> {
-    let mut adjacency: BTreeMap<&Value, Vec<&Value>> = BTreeMap::new();
-    for (x, y) in tuples {
-        adjacency.entry(x).or_default().push(y);
-    }
-    let nodes: Vec<&Value> = adjacency.keys().copied().collect();
-    let mut state: BTreeMap<&Value, u8> = BTreeMap::new();
-    fn dfs<'a>(
-        node: &'a Value,
-        adjacency: &BTreeMap<&'a Value, Vec<&'a Value>>,
-        state: &mut BTreeMap<&'a Value, u8>,
-        stack: &mut Vec<&'a Value>,
-    ) -> Option<Vec<Value>> {
-        state.insert(node, 1);
-        stack.push(node);
-        for next in adjacency.get(node).into_iter().flatten() {
-            match state.get(next).copied().unwrap_or(0) {
-                1 => {
-                    let start = stack.iter().position(|n| *n == *next).unwrap_or(0);
-                    let mut cycle: Vec<Value> =
-                        stack[start..].iter().map(|v| (*v).clone()).collect();
-                    cycle.push((*next).clone());
-                    return Some(cycle);
-                }
-                0 => {
-                    if let Some(cycle) = dfs(next, adjacency, state, stack) {
-                        return Some(cycle);
-                    }
-                }
-                _ => {}
-            }
-        }
-        stack.pop();
-        state.insert(node, 2);
-        None
-    }
-    for node in nodes {
-        if state.get(node).copied().unwrap_or(0) == 0 {
-            let mut stack = Vec::new();
-            if let Some(cycle) = dfs(node, &adjacency, &mut state, &mut stack) {
-                return Some(cycle);
-            }
-        }
-    }
-    None
-}
-
-/// Convenience: the population of a whole fact type as value pairs.
-pub fn fact_population(pop: &Population, fact: FactTypeId) -> BTreeSet<(Value, Value)> {
-    pop.tuples(fact).cloned().collect()
-}
-
+/// Unit tests of the re-exported checker, one per constraint kind.
 #[cfg(test)]
 mod tests {
     use super::*;
-    use orm_model::{RingKind, SchemaBuilder, Value, ValueConstraint};
+    use orm_model::{RingKind, RoleSeq, Schema, SchemaBuilder, Value, ValueConstraint};
 
     fn v(s: &str) -> Value {
         Value::str(s)
@@ -755,17 +355,5 @@ mod tests {
         assert!(satisfies(&s, &pop, CheckOptions::default()));
         pop.add_fact(f, v("a"), v("c")); // transitive edge
         assert!(!satisfies(&s, &pop, CheckOptions::default()));
-    }
-
-    #[test]
-    fn fact_population_helper() {
-        let mut b = SchemaBuilder::new("s");
-        let a = b.entity_type("A").unwrap();
-        let f = b.fact_type("f", a, a).unwrap();
-        let s = b.finish();
-        let _ = &s;
-        let mut pop = Population::new();
-        pop.add_fact(f, v("x"), v("y"));
-        assert_eq!(fact_population(&pop, f).len(), 1);
     }
 }

@@ -16,7 +16,9 @@
 //! * exclusion (explicit, implicit, set-comparison) → bitset intersection
 //!   and sorted-merge intersection;
 //! * subset/subtype/totality → bitset containment scans;
-//! * value/conformity/ring → columnar scans with binary-search probes.
+//! * value/conformity → columnar scans with bitset probes;
+//! * ring → the checker's own [`crate::ring_witness`] over the sorted
+//!   tuple column, so ring witnesses match by construction.
 //!
 //! The plan is **keyed on the schema revision and the TBox cache stamp**
 //! (the PR 4 invalidation tokens): any schema edit bumps one of them and
@@ -27,7 +29,7 @@
 //! [`crate::check`] (see `tests/bulk_conformance.rs`).
 
 use crate::columnar::ColumnarPopulation;
-use crate::{CheckOptions, Population, Violation};
+use crate::{ring_witness, CheckOptions, Population, Violation};
 use orm_dl::exec::ExecCx;
 use orm_dl::orm_to_dl::Translation;
 use orm_dl::tableau::SearchOutcome;
@@ -35,7 +37,6 @@ use orm_model::{
     Constraint, ConstraintId, FactTypeId, ObjectTypeId, RingKinds, RoleId, Schema,
     SetComparisonKind, Value,
 };
-use std::collections::BTreeMap;
 
 /// One vectorized check, compiled from a schema constraint (or from an
 /// implicit semantic rule such as conformity or implicit type exclusion).
@@ -360,7 +361,12 @@ fn run_op(op: &CheckOp, schema: &Schema, cols: &ColumnarPopulation, out: &mut Ve
             }
         }
         CheckOp::Ring { constraint, fact, kinds } => {
-            run_ring(cols, *constraint, *fact, *kinds, out);
+            let tuples = cols.fact_col(*fact);
+            for kind in kinds.iter() {
+                if let Some(witness) = ring_witness(kind, tuples, |id| cols.value(id)) {
+                    out.push(Violation::Ring { constraint: *constraint, kind, witness });
+                }
+            }
         }
     }
 }
@@ -553,118 +559,4 @@ fn sorted_intersection<'a, T: Ord>(a: &'a [T], b: &'a [T]) -> impl Iterator<Item
         }
         j < b.len() && b[j] == **x
     })
-}
-
-fn run_ring(
-    cols: &ColumnarPopulation,
-    constraint: ConstraintId,
-    fact: FactTypeId,
-    kinds: RingKinds,
-    out: &mut Vec<Violation>,
-) {
-    use orm_model::RingKind;
-    let tuples = cols.fact_col(fact);
-    let holds = |x: u32, y: u32| tuples.binary_search(&(x, y)).is_ok();
-    let show = |id: u32| cols.value(id);
-    for kind in kinds.iter() {
-        let violated: Option<String> = match kind {
-            RingKind::Irreflexive => tuples
-                .iter()
-                .find(|(x, y)| x == y)
-                .map(|&(x, _)| format!("self-pair ({}, {})", show(x), show(x))),
-            RingKind::Antisymmetric => {
-                tuples.iter().find(|&&(x, y)| x != y && holds(y, x)).map(|&(x, y)| {
-                    format!(
-                        "both ({}, {}) and ({}, {}) present",
-                        show(x),
-                        show(y),
-                        show(y),
-                        show(x)
-                    )
-                })
-            }
-            RingKind::Asymmetric => tuples.iter().find(|&&(x, y)| holds(y, x)).map(|&(x, y)| {
-                format!("both ({}, {}) and ({}, {}) present", show(x), show(y), show(y), show(x))
-            }),
-            RingKind::Symmetric => tuples.iter().find(|&&(x, y)| !holds(y, x)).map(|&(x, y)| {
-                format!("({}, {}) present without ({}, {})", show(x), show(y), show(y), show(x))
-            }),
-            RingKind::Intransitive => {
-                let mut found = None;
-                'outer: for &(x, y) in tuples {
-                    // All (y, z) successors form one contiguous run of the
-                    // sorted column — same matches, same order, no O(n²).
-                    let lo = tuples.partition_point(|&(a, _)| a < y);
-                    let hi = tuples.partition_point(|&(a, _)| a <= y);
-                    for &(_, z) in &tuples[lo..hi] {
-                        if holds(x, z) {
-                            found = Some(format!(
-                                "({}, {}), ({}, {}) and ({}, {}) present",
-                                show(x),
-                                show(y),
-                                show(y),
-                                show(z),
-                                show(x),
-                                show(z)
-                            ));
-                            break 'outer;
-                        }
-                    }
-                }
-                found
-            }
-            RingKind::Acyclic => find_cycle_ids(tuples).map(|cycle| {
-                let names: Vec<String> = cycle.iter().map(|&id| show(id).to_string()).collect();
-                format!("cycle through {}", names.join(" -> "))
-            }),
-        };
-        if let Some(witness) = violated {
-            out.push(Violation::Ring { constraint, kind, witness });
-        }
-    }
-}
-
-/// Find a directed cycle in the (sorted) tuple column, if any — the
-/// iterative twin of the per-violation checker's recursive `find_cycle`,
-/// visiting nodes and neighbors in exactly the same order so the reported
-/// cycle is identical (and deep chains can't blow the stack).
-fn find_cycle_ids(tuples: &[(u32, u32)]) -> Option<Vec<u32>> {
-    let mut adjacency: BTreeMap<u32, Vec<u32>> = BTreeMap::new();
-    for &(x, y) in tuples {
-        adjacency.entry(x).or_default().push(y);
-    }
-    let nodes: Vec<u32> = adjacency.keys().copied().collect();
-    // 0 = unvisited, 1 = on the current path (gray), 2 = done (black).
-    let mut state: BTreeMap<u32, u8> = BTreeMap::new();
-    for node in nodes {
-        if state.get(&node).copied().unwrap_or(0) != 0 {
-            continue;
-        }
-        let mut stack: Vec<(u32, usize)> = vec![(node, 0)];
-        state.insert(node, 1);
-        while let Some(&(n, i)) = stack.last() {
-            let neighbors = adjacency.get(&n).map_or(&[][..], Vec::as_slice);
-            if i < neighbors.len() {
-                stack.last_mut().expect("stack is non-empty").1 = i + 1;
-                let next = neighbors[i];
-                match state.get(&next).copied().unwrap_or(0) {
-                    1 => {
-                        let start = stack.iter().position(|(m, _)| *m == next).unwrap_or(0);
-                        let mut cycle: Vec<u32> = stack[start..].iter().map(|(m, _)| *m).collect();
-                        cycle.push(next);
-                        return Some(cycle);
-                    }
-                    0 => {
-                        state.insert(next, 1);
-                        stack.push((next, 0));
-                    }
-                    _ => {}
-                }
-            } else {
-                state.insert(n, 2);
-                stack.pop();
-            }
-        }
-    }
-    None
 }

@@ -17,11 +17,12 @@
 //! membership and equality, so any model is isomorphic to one over these
 //! pools (up to the size bounds).
 //!
-//! Every candidate solution is re-verified with `orm-population::check`
+//! Every candidate solution is re-verified with the population checker
+//! (`orm_population::check_indexed`, reusing the search's schema index)
 //! before being returned, so a [`Outcome::Satisfiable`] verdict never
 //! depends on the pruning logic being right.
 
-use orm_population::{check, CheckOptions, Population};
+use orm_population::{check_indexed, ring_witness, CheckOptions, Population};
 
 use orm_model::{Constraint, FactTypeId, ObjectTypeId, RoleId, Schema, SchemaIndex, Value};
 use std::collections::{BTreeMap, BTreeSet};
@@ -298,8 +299,13 @@ impl<'a> Searcher<'a> {
                 {
                     return false;
                 }
-                Constraint::Ring(r) if r.fact_type == fact && !ring_ok(r.kinds, tuples) => {
-                    return false;
+                Constraint::Ring(r) if r.fact_type == fact => {
+                    // Candidate tables are combinations of a sorted extent
+                    // product, hence already in the order the evaluator needs.
+                    let pairs: Vec<(&Value, &Value)> = tuples.iter().map(|(a, b)| (a, b)).collect();
+                    if r.kinds.iter().any(|k| ring_witness(k, &pairs, |v| v).is_some()) {
+                        return false;
+                    }
                 }
                 _ => {}
             }
@@ -320,7 +326,7 @@ impl<'a> Searcher<'a> {
                 return SearchResult::Exhausted;
             }
         }
-        if check(self.schema, pop, self.options).is_empty() {
+        if check_indexed(self.schema, self.idx, pop, self.options).is_empty() {
             SearchResult::Found(pop.clone())
         } else {
             SearchResult::Exhausted
@@ -470,56 +476,6 @@ fn counting_ok(
     groups.values().all(|count| *count >= min && max.is_none_or(|m| *count <= m))
 }
 
-fn ring_ok(kinds: orm_model::RingKinds, tuples: &[(Value, Value)]) -> bool {
-    use orm_model::RingKind::*;
-    let set: BTreeSet<(&Value, &Value)> = tuples.iter().map(|(a, b)| (a, b)).collect();
-    let holds = |x: &Value, y: &Value| set.contains(&(x, y));
-    for kind in kinds.iter() {
-        let ok = match kind {
-            Irreflexive => tuples.iter().all(|(x, y)| x != y),
-            Antisymmetric => tuples.iter().all(|(x, y)| x == y || !holds(y, x)),
-            Asymmetric => tuples.iter().all(|(x, y)| !holds(y, x)),
-            Symmetric => tuples.iter().all(|(x, y)| holds(y, x)),
-            Intransitive => {
-                tuples.iter().all(|(x, y)| tuples.iter().all(|(y2, z)| y != y2 || !holds(x, z)))
-            }
-            Acyclic => acyclic(tuples),
-        };
-        if !ok {
-            return false;
-        }
-    }
-    true
-}
-
-fn acyclic(tuples: &[(Value, Value)]) -> bool {
-    let mut adjacency: BTreeMap<&Value, Vec<&Value>> = BTreeMap::new();
-    for (a, b) in tuples {
-        adjacency.entry(a).or_default().push(b);
-    }
-    let mut state: BTreeMap<&Value, u8> = BTreeMap::new();
-    fn dfs<'v>(
-        node: &'v Value,
-        adjacency: &BTreeMap<&'v Value, Vec<&'v Value>>,
-        state: &mut BTreeMap<&'v Value, u8>,
-    ) -> bool {
-        state.insert(node, 1);
-        for next in adjacency.get(node).into_iter().flatten() {
-            match state.get(next).copied().unwrap_or(0) {
-                1 => return false,
-                0 if !dfs(next, adjacency, state) => return false,
-                _ => {}
-            }
-        }
-        state.insert(node, 2);
-        true
-    }
-    let nodes: Vec<&Value> = adjacency.keys().copied().collect();
-    nodes
-        .into_iter()
-        .all(|n| state.get(n).copied().unwrap_or(0) != 0 || dfs(n, &adjacency, &mut state))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -600,22 +556,6 @@ mod tests {
         let s = b.finish();
         let pools = candidate_pools(&s, &s.index(), Bounds::default());
         assert_eq!(pools[sup.index()], pools[sub.index()]);
-    }
-
-    #[test]
-    fn ring_ok_agrees_with_examples() {
-        use orm_model::{RingKind, RingKinds};
-        let a = Value::str("a");
-        let b = Value::str("b");
-        let loop_rel = [(a.clone(), a.clone())];
-        assert!(!ring_ok(RingKinds::only(RingKind::Irreflexive), &loop_rel));
-        assert!(ring_ok(RingKinds::only(RingKind::Symmetric), &loop_rel));
-        let edge = [(a.clone(), b.clone())];
-        assert!(ring_ok(RingKinds::only(RingKind::Asymmetric), &edge));
-        assert!(!ring_ok(RingKinds::only(RingKind::Symmetric), &edge));
-        let two_cycle = [(a.clone(), b.clone()), (b.clone(), a.clone())];
-        assert!(!ring_ok(RingKinds::only(RingKind::Acyclic), &two_cycle));
-        assert!(ring_ok(RingKinds::only(RingKind::Symmetric), &two_cycle));
     }
 
     #[test]

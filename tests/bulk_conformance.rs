@@ -171,3 +171,53 @@ fn compile_charges_the_checker_context() {
     assert!(checker.context().meter().steps() > 0, "the compile sweep was not metered");
     assert!(checker.context().meter().proofs() > 0);
 }
+
+/// Chain length for the long-ring tests: far deeper than a recursive
+/// depth-first search survives on a test thread's default stack.
+const LONG_CHAIN: i64 = 50_000;
+
+/// One type under an acyclic ring, populated with the chain
+/// `0 → 1 → … → LONG_CHAIN`, closed back to `0` when `closed`.
+fn long_chain(closed: bool) -> (orm_model::Schema, Population) {
+    let mut b = orm_model::SchemaBuilder::new("chain");
+    let node = b.entity_type("Node").expect("fresh");
+    let next = b.fact_type("precedes", node, node).expect("fresh");
+    b.ring(next, [orm_model::RingKind::Acyclic]).expect("ring players match");
+    let schema = b.finish();
+    let mut pop = Population::new();
+    for i in 0..=LONG_CHAIN {
+        pop.add_instance(node, orm_model::Value::int(i));
+    }
+    for i in 0..LONG_CHAIN {
+        pop.add_fact(next, orm_model::Value::int(i), orm_model::Value::int(i + 1));
+    }
+    if closed {
+        pop.add_fact(next, orm_model::Value::int(LONG_CHAIN), orm_model::Value::int(0));
+    }
+    (schema, pop)
+}
+
+/// A long acyclic chain is a model: the checker answers without
+/// overflowing the stack, and the compiled plan agrees.
+#[test]
+fn long_acyclic_chain_conforms() {
+    let (schema, pop) = long_chain(false);
+    assert_eq!(check(&schema, &pop, CheckOptions::default()), vec![]);
+    assert_plan_agrees(&schema, &pop, CheckOptions::default());
+}
+
+/// The same chain closed into one long cycle: the checker and the
+/// compiled plan report the same single ring violation, witness and all.
+#[test]
+fn long_cycle_reports_one_ring_violation() {
+    let (schema, pop) = long_chain(true);
+    let violations = check(&schema, &pop, CheckOptions::default());
+    assert_eq!(violations.len(), 1, "one cycle, one violation");
+    let orm_population::Violation::Ring { kind, witness, .. } = &violations[0] else {
+        panic!("expected a ring violation, got {:?}", violations[0]);
+    };
+    assert_eq!(*kind, orm_model::RingKind::Acyclic);
+    assert!(witness.starts_with("cycle through 0 -> 1 -> 2 -> "), "{}", &witness[..40]);
+    assert!(witness.ends_with(&format!("-> {LONG_CHAIN} -> 0")));
+    assert_plan_agrees(&schema, &pop, CheckOptions::default());
+}

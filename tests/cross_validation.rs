@@ -7,12 +7,15 @@
 //!   satisfiable;
 //! * each fault injector triggers exactly its pattern;
 //! * the ring-constraint Table 1 agrees with satisfiability of actual
-//!   one-fact schemas.
+//!   one-fact schemas, and the population checker's ring-kind evaluator
+//!   agrees with the kinds' logical definitions.
 
+use orm_core::ring::euler::Relation;
 use orm_core::{validate, validate_all, CheckCode, Severity};
 use orm_gen::faults::{inject, FaultKind};
 use orm_gen::{generate, generate_clean, GenConfig};
-use orm_model::{RingKinds, SchemaBuilder};
+use orm_model::{RingKind, RingKinds, SchemaBuilder};
+use orm_population::ring_witness;
 use orm_reasoner::{
     find_model, role_satisfiability, strong_satisfiability, type_satisfiability, Bounds, Outcome,
     Target,
@@ -191,6 +194,28 @@ fn ring_table_agrees_with_model_finding() {
             expected,
             "ring table disagrees with the model finder on {kinds}"
         );
+    }
+}
+
+/// The shared ring-kind evaluator agrees with the logical definition of
+/// every kind (`Relation::satisfies`, the reference behind Table 1) on
+/// every relation over one to three elements.
+#[test]
+fn ring_witness_agrees_with_the_reference_semantics() {
+    for n in 1..=3 {
+        for relation in Relation::enumerate(n) {
+            let tuples: Vec<(usize, usize)> = (0..n)
+                .flat_map(|x| (0..n).map(move |y| (x, y)))
+                .filter(|&(x, y)| relation.holds(x, y))
+                .collect();
+            for kind in RingKind::ALL {
+                assert_eq!(
+                    ring_witness(kind, &tuples, |x| x).is_none(),
+                    relation.satisfies(kind),
+                    "{kind} on {tuples:?}"
+                );
+            }
+        }
     }
 }
 

@@ -21,9 +21,7 @@
 //! sweeps (`type_sweep_par` / `role_sweep_par` over `fan_out_cx`) are
 //! differentially pinned against the uncached sequential drivers.
 
-use orm_dl::{
-    translate, DlOutcome, ExecCx, ModelGraph, SaturationEngine, SaturationOutcome, SaturationShards,
-};
+use orm_dl::{translate, DlOutcome, ExecCx, SaturationEngine, SaturationOutcome, SaturationShards};
 use orm_gen::{frequency_value_scenario, generate, ring_scenario};
 use orm_model::{Constraint, Mandatory, RingKind, Schema};
 use orm_population::{check, CheckOptions, Population};
@@ -34,22 +32,10 @@ use std::sync::Arc;
 
 const DL_BUDGET: u64 = 120_000;
 
-/// Convert a saturation witness into a population and certify it against
-/// the checker the engine's internal verifier mirrors. A `Sat` whose
-/// witness fails here would be a soundness bug in the engine.
-fn certify(schema: &Schema, model: &ModelGraph) {
-    let mut pop = Population::new();
-    for (ty, values) in &model.extents {
-        for v in values {
-            pop.add_instance(*ty, v.clone());
-        }
-    }
-    for (fact, tuples) in &model.facts {
-        for (a, b) in tuples {
-            pop.add_fact(*fact, a.clone(), b.clone());
-        }
-    }
-    let violations = check(schema, &pop, CheckOptions::default());
+/// Certify a saturation witness against the population checker directly.
+/// A `Sat` whose witness fails here would be a soundness bug in the engine.
+fn certify(schema: &Schema, model: &Population) {
+    let violations = check(schema, model, CheckOptions::default());
     assert!(violations.is_empty(), "saturation witness is not conformant: {violations:?}");
 }
 
