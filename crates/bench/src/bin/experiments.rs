@@ -506,37 +506,33 @@ fn tableau_bench(out_path: &str, budget: u64) {
         explain_unseeded = explain_unseeded.min(t0.elapsed().as_secs_f64());
     }
     let seeding_agrees = unseeded_cores == unsat_elements;
-    // Verification (untimed; on the engine's deep-stack helper —
-    // minimality probes search weakened TBoxes whose refutations can
-    // recurse thousands of levels).
+    // Verification (untimed).
     let tbox = &exp_translation.tbox;
-    let (cores_extracted, cores_sound, cores_minimal, origins_mapped, mean_core) =
-        orm_dl::explain::with_deep_stack(|| {
-            let mut sound = true;
-            let mut minimal = true;
-            let mut mapped = true;
-            let mut sizes = Vec::new();
-            let mut extracted = explained.len() == unsat_elements && !explained.is_empty();
-            for (query, explanation) in &explained {
-                let Some(core) = explanation.core() else {
-                    extracted = false;
-                    continue;
-                };
-                sizes.push(core.len());
-                sound &= orm_dl::explain::core_refutes_cx(tbox, core, query, &explain_cx);
-                minimal &= core.minimal;
-                for i in 0..core.len() {
-                    let mut weakened = core.axioms.clone();
-                    weakened.remove(i);
-                    minimal &=
-                        orm_dl::satisfiable_cx(&tbox.restrict_to(&weakened), query, &explain_cx)
-                            == orm_dl::SearchOutcome::Sat;
-                }
-                mapped &= !exp_translation.core_origins(core).is_empty();
+    let (cores_extracted, cores_sound, cores_minimal, origins_mapped, mean_core) = {
+        let mut sound = true;
+        let mut minimal = true;
+        let mut mapped = true;
+        let mut sizes = Vec::new();
+        let mut extracted = explained.len() == unsat_elements && !explained.is_empty();
+        for (query, explanation) in &explained {
+            let Some(core) = explanation.core() else {
+                extracted = false;
+                continue;
+            };
+            sizes.push(core.len());
+            sound &= orm_dl::explain::core_refutes_cx(tbox, core, query, &explain_cx);
+            minimal &= core.minimal;
+            for i in 0..core.len() {
+                let mut weakened = core.axioms.clone();
+                weakened.remove(i);
+                minimal &= orm_dl::satisfiable_cx(&tbox.restrict_to(&weakened), query, &explain_cx)
+                    == orm_dl::SearchOutcome::Sat;
             }
-            let mean = sizes.iter().sum::<usize>() as f64 / sizes.len().max(1) as f64;
-            (extracted, sound, minimal, mapped, mean)
-        });
+            mapped &= !exp_translation.core_origins(core).is_empty();
+        }
+        let mean = sizes.iter().sum::<usize>() as f64 / sizes.len().max(1) as f64;
+        (extracted, sound, minimal, mapped, mean)
+    };
     let explain_ok =
         cores_extracted && cores_sound && cores_minimal && origins_mapped && seeding_agrees;
     all_agree &= explain_ok;
@@ -600,7 +596,7 @@ fn tableau_bench(out_path: &str, budget: u64) {
             "warm family replay diverged from cold enumeration"
         );
     }
-    // Verification (untimed, on the deep-stack helper): every family
+    // Verification (untimed): every family
     // found, every core certified sound + minimal and pairwise
     // ⊆-incomparable, every family provably complete on this battery,
     // every ranked repair independently re-proved to restore Sat, and
@@ -614,7 +610,7 @@ fn tableau_bench(out_path: &str, budget: u64) {
         mean_family,
         total_cores,
         total_repairs,
-    ) = orm_dl::explain::with_deep_stack(|| {
+    ) = {
         let subset = |a: &[orm_dl::AxiomId], b: &[orm_dl::AxiomId]| a.iter().all(|x| b.contains(x));
         let mut certified = true;
         let mut complete = true;
@@ -678,7 +674,7 @@ fn tableau_bench(out_path: &str, budget: u64) {
         let total: usize = sizes.iter().sum();
         let mean = total as f64 / sizes.len().max(1) as f64;
         (found, certified, complete, repairs_ok, uncached, mean, total, n_repairs)
-    });
+    };
     // Deterministic two-MUS pin: the compact two-contradiction scenario
     // has exactly-known ground truth — one doomed type, two independent
     // 3-axiom cores, nine verified 2-axiom repairs. The enumerator must

@@ -1386,14 +1386,16 @@ mod tests {
     #[test]
     fn failed_explanation_does_not_downgrade_unsat() {
         use crate::explain::Explanation;
-        // B ⊑ C, C ⊑ ⊥: refuting B needs actual rule applications (the
-        // internalized `¬B ⊔ C` opens a choice point), so a zero budget
-        // cannot re-derive what the funded run proved.
+        // B ⊑ C ⊔ D, C ⊑ ⊥, D ⊑ ⊥: refuting B needs actual rule
+        // applications (the unfolded `C ⊔ D` opens a choice point), so a
+        // zero budget cannot re-derive what the funded run proved.
         let mut t = TBox::new();
         let b = Concept::Atomic(t.atom("B"));
         let c = Concept::Atomic(t.atom("C"));
-        t.gci(b.clone(), c.clone());
+        let d = Concept::Atomic(t.atom("D"));
+        t.gci(b.clone(), Concept::or([c.clone(), d.clone()]));
         t.gci(c.clone(), Concept::Bottom);
+        t.gci(d.clone(), Concept::Bottom);
         let mut cache = SatCache::new();
         // Certify the verdict through the plain path with an ample budget.
         assert_eq!(cache.satisfiable_cx(&t, &b, &steps(100_000)), SearchOutcome::Unsat);

@@ -35,11 +35,11 @@
 //! was — a cold shard set degrades to re-proving, never to a panic or a
 //! stale verdict.
 //!
-//! # Format (version 1)
+//! # Format (version 2)
 //!
 //! ```text
 //! magic    b"ORMSNAP"          7 bytes
-//! version  0x01                1 byte
+//! version  0x02                1 byte
 //! len      payload length      u64 LE
 //! payload  see below           len bytes
 //! checksum FNV-1a-64(payload)  u64 LE
@@ -47,7 +47,9 @@
 //!
 //! Payload: revision `u64`; atom/role/gci/role-inclusion/disjointness
 //! counts (`u32` each); prefix fingerprint `u64`; entry list (count +
-//! per-entry key concepts and verdict body); seed-pool axiom ids. All
+//! per-entry key concepts and verdict body — a Sat witness stores its
+//! per-node labels, its parent-edge role sets, and per node the sorted
+//! roles it has a neighbour over); seed-pool axiom ids. All
 //! integers little-endian; concepts as a tagged preorder walk; roles as
 //! the global `RoleExprId` (`2·name + inverse` — arena-independent).
 //! Extend the format by bumping the version byte; readers reject
@@ -57,7 +59,7 @@ use super::{fold_root, shape_hash, Entry, SatShards};
 use crate::arena::{role_expr_of, ConceptId, RoleExprId};
 use crate::concept::{Concept, RoleExpr};
 use crate::explain::{MusFamily, UnsatCore};
-use crate::tableau::Witness;
+use crate::tableau::{Witness, WitnessParts};
 use crate::tbox::{AxiomId, AxiomKind, Delta, TBox};
 use std::fmt;
 
@@ -65,7 +67,7 @@ use std::fmt;
 use super::CacheStats;
 
 const MAGIC: [u8; 7] = *b"ORMSNAP";
-const VERSION: u8 = 1;
+const VERSION: u8 = 2;
 /// Nesting cap for decoded concepts — honest snapshots hold shallow
 /// trees; the cap keeps a malicious blob from recursing the stack away.
 const MAX_CONCEPT_DEPTH: u32 = 256;
@@ -385,11 +387,6 @@ struct Decoded {
     seeds: Vec<AxiomId>,
 }
 
-/// The two per-node columns of a decoded [`Witness`]: concept labels and
-/// role successors, in node order (the shape `Tableau::snapshot_parts`
-/// produces).
-type WitnessParts = (Vec<Vec<Concept>>, Vec<Vec<RoleExprId>>);
-
 enum DecodedEntry {
     Sat { witness: Option<WitnessParts> },
     Unsat { core: Option<UnsatCore>, family: Option<MusFamily> },
@@ -433,7 +430,19 @@ fn decode(payload: &[u8]) -> Result<Decoded, SnapshotError> {
                         }
                         edges.push(roles);
                     }
-                    Some((labels, edges))
+                    let mut neighbours = Vec::new();
+                    for _ in 0..node_count {
+                        let n = r.u32()?;
+                        let mut roles = Vec::new();
+                        for _ in 0..n {
+                            roles.push(r.edge_role(bounds)?);
+                        }
+                        if !roles.is_sorted_by(|a, b| a < b) {
+                            return Err(SnapshotError::Malformed("neighbour roles not sorted"));
+                        }
+                        neighbours.push(roles);
+                    }
+                    Some((labels, edges, neighbours))
                 } else {
                     None
                 };
@@ -553,7 +562,7 @@ impl SatShards {
                         match witness {
                             Some(witness) => {
                                 entries.u8(1);
-                                let (labels, edges) = witness.snapshot_parts();
+                                let (labels, edges, neighbours) = witness.snapshot_parts();
                                 entries.u32(labels.len() as u32);
                                 for label in &labels {
                                     entries.u32(label.len() as u32);
@@ -562,7 +571,7 @@ impl SatShards {
                                     }
                                 }
                                 entries.u32(edges.len() as u32);
-                                for roles in &edges {
+                                for roles in edges.iter().chain(&neighbours) {
                                     entries.u32(roles.len() as u32);
                                     for &role in roles {
                                         entries.u32(role);
@@ -740,9 +749,9 @@ impl SatShards {
             key.dedup();
             let entry = match entry {
                 DecodedEntry::Sat { witness } => {
-                    let witness = witness.map(|(labels, edges)| {
+                    let witness = witness.map(|parts| {
                         report.witnesses += 1;
-                        Witness::from_snapshot_parts(labels, edges)
+                        Witness::from_snapshot_parts(parts)
                     });
                     Entry::Sat { witness }
                 }

@@ -346,6 +346,21 @@ impl ExecCx {
         Self { cancel: self.cancel.child(), ..self.clone() }
     }
 
+    /// A context for a callee whose own auto-cancel trigger
+    /// ([`ExecCx::cancel_after_steps`]) must not trip the caller's
+    /// token: a [`ExecCx::child`] when the trigger is set, a plain clone
+    /// otherwise. Nothing but that trigger cancels a token the callee
+    /// alone holds, so without it the child's two allocations buy
+    /// nothing — the service's per-request path uses this.
+    #[must_use]
+    pub fn isolated(&self) -> Self {
+        if self.cancel_at_steps.is_some() {
+            self.child()
+        } else {
+            self.clone()
+        }
+    }
+
     /// Flush `steps` into the meter and run the *expensive* checks:
     /// the auto-cancel step trigger and the wall-clock deadline. The
     /// engine calls this every [`CHECK_INTERVAL`] pops; the cancellation
@@ -421,6 +436,21 @@ mod tests {
         // But a parent cancellation reaches every child.
         parent.cancel();
         assert_eq!(b.check(), Err(Interrupt::Cancelled));
+    }
+
+    #[test]
+    fn isolated_contexts_keep_the_trigger_away_from_the_caller() {
+        // With a trigger, the isolated context trips its own token only.
+        let caller = ExecCx::unlimited().cancel_after_steps(10);
+        let run = caller.isolated();
+        assert_eq!(run.check_after(10), Err(Interrupt::Cancelled));
+        assert!(caller.check().is_ok(), "the trigger reached the caller");
+        // Without one, it shares the caller's token: a caller-side
+        // cancellation still stops the run.
+        let caller = ExecCx::unlimited();
+        let run = caller.isolated();
+        caller.cancel();
+        assert_eq!(run.check(), Err(Interrupt::Cancelled));
     }
 
     #[test]

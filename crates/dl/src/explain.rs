@@ -204,36 +204,6 @@ fn candidate_flat_to_original(candidate: &[AxiomId], flat: usize) -> AxiomId {
 /// assert_eq!(explain_unsat_cx(&tbox, &b, &cx), Explanation::Satisfiable);
 /// ```
 pub fn explain_unsat_cx(tbox: &TBox, query: &Concept, cx: &ExecCx) -> Explanation {
-    // The minimization probes run the tableau against *weakened* TBoxes,
-    // whose searches can legitimately open thousands of decision levels
-    // within the budget (the axioms that used to close branches early are
-    // exactly what got deleted). `Engine::search` recurses once per open
-    // level, so the whole extraction runs on a scoped worker thread with
-    // a stack sized for the worst case rather than for the caller's.
-    with_deep_stack(|| explain_unsat_inner(tbox, query, cx))
-}
-
-/// Run `f` on a scoped worker thread whose stack fits a worst-case
-/// tableau search (the engine recurses one `search` frame per open
-/// decision level, and weakened-TBox probes can open thousands within an
-/// ample budget). [`explain_unsat_cx`] wraps its own work in this; callers
-/// that drive `satisfiable_cx` directly against [`TBox::restrict_to`]
-/// outputs — verification harnesses, benches, property tests — should
-/// do the same rather than size their own threads.
-pub fn with_deep_stack<T: Send>(f: impl FnOnce() -> T + Send) -> T {
-    const DEEP_STACK: usize = 64 * 1024 * 1024;
-    std::thread::scope(|scope| {
-        std::thread::Builder::new()
-            .name("orm-dl-deep-stack".into())
-            .stack_size(DEEP_STACK)
-            .spawn_scoped(scope, f)
-            .expect("spawn deep-stack worker")
-            .join()
-            .expect("deep-stack worker panicked")
-    })
-}
-
-fn explain_unsat_inner(tbox: &TBox, query: &Concept, cx: &ExecCx) -> Explanation {
     let (verdict, conflict) = satisfiable_with_conflict_cx(tbox, query, cx);
     match verdict {
         SearchOutcome::Sat => return Explanation::Satisfiable,
@@ -285,15 +255,6 @@ pub fn explain_unsat_seeded_cx(
     cx: &ExecCx,
     seed: &[AxiomId],
 ) -> Explanation {
-    with_deep_stack(|| explain_unsat_seeded_inner(tbox, query, cx, seed))
-}
-
-fn explain_unsat_seeded_inner(
-    tbox: &TBox,
-    query: &Concept,
-    cx: &ExecCx,
-    seed: &[AxiomId],
-) -> Explanation {
     let known: Vec<AxiomId> = {
         let present: std::collections::HashSet<AxiomId> = tbox.axiom_ids().collect();
         let mut k: Vec<AxiomId> = seed.iter().copied().filter(|a| present.contains(a)).collect();
@@ -303,7 +264,7 @@ fn explain_unsat_seeded_inner(
     };
     // Seeding with every axiom proves nothing the cold path would not.
     if known.is_empty() || known.len() >= tbox.axiom_count() {
-        return explain_unsat_inner(tbox, query, cx);
+        return explain_unsat_cx(tbox, query, cx);
     }
     match probe(tbox, &known, query, cx) {
         (SearchOutcome::Unsat, refined) => {
@@ -316,7 +277,7 @@ fn explain_unsat_seeded_inner(
             };
             Explanation::Unsat(minimize(tbox, query, cx, core))
         }
-        _ => explain_unsat_inner(tbox, query, cx),
+        _ => explain_unsat_cx(tbox, query, cx),
     }
 }
 
@@ -504,8 +465,7 @@ fn sorted_subset(sub: &[AxiomId], sup: &[AxiomId]) -> bool {
 /// the cores certified so far are returned with [`MusFamily::truncated`]
 /// set and [`MusFamily::complete`] cleared (an interrupt before the
 /// initial verdict classifies as [`MusEnumeration::ResourceLimit`]). No
-/// partial or uncertified core is ever emitted. Runs on the same
-/// deep-stack worker as [`explain_unsat_cx`].
+/// partial or uncertified core is ever emitted.
 ///
 /// ```
 /// use orm_dl::concept::Concept;
@@ -531,7 +491,7 @@ fn sorted_subset(sub: &[AxiomId], sup: &[AxiomId]) -> bool {
 /// assert_eq!(cores, vec![vec![doom1], vec![ab, doom2]]);
 /// ```
 pub fn enumerate_mus_cx(tbox: &TBox, query: &Concept, cx: &ExecCx, limit: usize) -> MusEnumeration {
-    with_deep_stack(|| enumerate_mus_inner(tbox, query, cx, limit, &[]))
+    enumerate_mus_seeded_cx(tbox, query, cx, limit, &[])
 }
 
 /// [`enumerate_mus_cx`] with a warm-start seed for the *first* extraction
@@ -545,22 +505,7 @@ pub fn enumerate_mus_seeded_cx(
     limit: usize,
     seed: &[AxiomId],
 ) -> MusEnumeration {
-    with_deep_stack(|| enumerate_mus_inner(tbox, query, cx, limit, seed))
-}
-
-fn enumerate_mus_inner(
-    tbox: &TBox,
-    query: &Concept,
-    cx: &ExecCx,
-    limit: usize,
-    seed: &[AxiomId],
-) -> MusEnumeration {
-    let first = if seed.is_empty() {
-        explain_unsat_inner(tbox, query, cx)
-    } else {
-        explain_unsat_seeded_inner(tbox, query, cx, seed)
-    };
-    let first_core = match first {
+    let first_core = match explain_unsat_seeded_cx(tbox, query, cx, seed) {
         Explanation::Unsat(core) => core,
         Explanation::Satisfiable => return MusEnumeration::Satisfiable,
         Explanation::ResourceLimit => return MusEnumeration::ResourceLimit,
@@ -744,15 +689,6 @@ pub fn repair_sets(cores: &[UnsatCore]) -> Vec<RepairSet> {
 /// individually re-proved `Sat`) — the context-aware analogue of a
 /// truncated family.
 pub fn ranked_repairs_cx(
-    tbox: &TBox,
-    query: &Concept,
-    cx: &ExecCx,
-    family: &MusFamily,
-) -> Vec<RepairSet> {
-    with_deep_stack(|| ranked_repairs_inner(tbox, query, cx, family))
-}
-
-fn ranked_repairs_inner(
     tbox: &TBox,
     query: &Concept,
     cx: &ExecCx,

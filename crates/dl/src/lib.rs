@@ -9,12 +9,16 @@
 //!   role disjointness — exactly what the binary-ORM mapping needs; DLR's
 //!   n-ary features degenerate to this fragment for binary predicates);
 //! * [`tbox`] — TBoxes of general concept inclusions, role inclusions and
-//!   role disjointness, with (memoized) GCI internalization and a
-//!   mutation-stamped identity ([`tbox::TBox::cache_stamp`]) backed by a
+//!   role disjointness, with (memoized) GCI internalization and
+//!   absorption and a mutation-stamped identity ([`tbox::TBox::cache_stamp`]) backed by a
 //!   **delta log** ([`tbox::TBox::delta_since`]) that tells caches *what*
 //!   changed, not just *that* something changed;
-//! * [`tableau`] — a sound and terminating tableau procedure with pairwise
-//!   blocking, successor merging, a rule budget, trail-based backtracking,
+//! * [`absorb`] — the TBox compiled once per revision into the tableau's
+//!   rules: lazy unfolding, told disjointness and domain/range rules, with
+//!   only a residue left internalized;
+//! * [`tableau`] — a sound and terminating tableau procedure over the
+//!   absorbed rules with pairwise anywhere blocking, successor merging, a
+//!   rule budget, trail-based backtracking on an explicit choice stack,
 //!   dependency-directed backjumping and per-fact **axiom-usage tracking**
 //!   ([`tableau::satisfiable_with_conflict_cx`] reports which axioms a
 //!   refutation rested on); the retained clone-per-branch baseline lives
@@ -87,6 +91,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod absorb;
 pub mod arena;
 pub mod cache;
 pub mod classic;

@@ -2,11 +2,19 @@
 //!
 //! The procedure is the standard completion-forest tableau for ALC with
 //! inverse roles, a role hierarchy and unqualified number restrictions
-//! (GCIs internalized, pairwise blocking for termination, `≤`-merging) —
-//! but engineered around three structural decisions that replace the
-//! original clone-per-branch design (kept in [`crate::classic`] as the
-//! differential baseline):
+//! (pairwise blocking for termination, `≤`-merging) — but engineered
+//! around structural decisions that replace the original clone-per-branch
+//! design with a fully internalized TBox (kept in [`crate::classic`] as
+//! the differential baseline):
 //!
+//! * **Absorbed axioms** — the GCIs are compiled once per TBox revision
+//!   into rules ([`crate::absorb`]): `A ⊑ D` unfolds lazily when `A`
+//!   enters a label, `A ⊓ B ⊑ ⊥` is a told-disjointness check on atom
+//!   insertion, and `∃R.⊤ ⊑ D` (with `⊤ ⊑ ≤n R`, `⊤ ⊑ ∀R.D` and role
+//!   exclusions) fires on the node that gains an `R`-neighbour — or an
+//!   `∃R`/`≥n R` obligation, which promises one. Only the residue is
+//!   internalized into every label, so a node opens no disjunction for
+//!   an axiom that cannot concern it.
 //! * **Hash-consed labels** — every concept is interned once into an
 //!   [`crate::arena::Arena`]; node labels are sorted `Vec<ConceptId>`, so
 //!   membership is a `u32` binary search, the `A ⊓ ¬A` clash test is one
@@ -18,6 +26,10 @@
 //!   mutation (label/edge/distinctness insert, node creation, kill,
 //!   reparent) pushes an undo record on a trail; a branch point is a trail
 //!   mark, and abandoning a branch pops records back to the mark.
+//! * **An explicit choice stack** — open choice points live on a heap
+//!   stack with their marks, cursors and conflict accumulators, not in
+//!   call frames: the search is one loop, and its depth in decision
+//!   levels is bounded by memory, never by the thread's stack.
 //! * **Incremental scheduling** — a dirty-node worklist drives the
 //!   deterministic rules (`∀`-propagation, clash detection) instead of a
 //!   full-forest rescan per iteration; `⊔`/`∃`/`≥` candidates live on
@@ -25,6 +37,9 @@
 //!   rollback-aware cursors; and role-hierarchy queries go through the
 //!   [`crate::tbox::RoleClosure`] bitsets (per-edge upward closures
 //!   maintained on the nodes) rather than per-call `is_subrole` walks.
+//! * **Anywhere blocking** — a node is blocked by *any* earlier unblocked
+//!   node whose pair (node, parent, edge) it mirrors, not only by an
+//!   ancestor, so each kind of node pair is expanded once per forest.
 //! * **Dependency-directed backjumping** — every derived fact (label
 //!   member, edge role, distinctness pair, node creation) carries a
 //!   *dependency set*: the set of open choice points (`⊔` disjunct and
@@ -41,15 +56,14 @@
 //!   dependency set rides an *axiom set*: a bitmask over the TBox's
 //!   axioms (in [`TBox::axiom_id_at_flat`] order, saturating at bit 63
 //!   like the decision bits) naming which axioms the fact transitively
-//!   rests on. Internalized GCI conjuncts seed their own axiom's bit;
-//!   edge facts carry the role-inclusion axioms (conservatively, all of
-//!   them — the role closure may have used any); disjointness clashes add
-//!   the disjointness declarations. A clash's conflict therefore reports
-//!   not just *which choices* but *which axioms* it used — the seed
-//!   [`crate::explain`] shrinks into a minimal unsat core. The sets are
-//!   over-approximations by construction; only
-//!   [`satisfiable_with_conflict_cx`] pays for building them (the plain
-//!   entry points run with empty masks).
+//!   rests on. Every absorbed rule and residual conjunct carries its own
+//!   GCI's bit; edge facts carry the role-inclusion axioms
+//!   (conservatively, all of them — the role closure may have used any);
+//!   disjointness clashes add the disjointness declarations. A clash's
+//!   conflict therefore reports not just *which choices* but *which
+//!   axioms* it used — the seed [`crate::explain`] shrinks into a minimal
+//!   unsat core. The sets are over-approximations by construction; only
+//!   [`satisfiable_with_conflict_cx`] reads them.
 //!
 //! # Budget semantics
 //!
@@ -59,17 +73,23 @@
 //! dirty node (`∀`-propagation plus that node's clash checks), opening
 //! one non-deterministic choice point (`⊔` or `≤`), applying one
 //! generating rule (`∃`/`≥`), or certifying completeness at quiescence.
-//! The count is global across all branches of the search, not per
-//! branch. When the budget reaches zero before the search concludes, the
-//! verdict is [`SearchOutcome::BudgetExhausted`] — never a wrong answer.
-//! This is the knob callers (e.g. `Translation::type_satisfiable_cx`) use
-//! to bound the exponential worst case the paper attributes to complete
-//! DL reasoning (§4).
+//! Label insertions (with their conjuncts and absorbed rules) are part of
+//! the step that makes them, and a clash found while seeding the root
+//! costs nothing. The count is global across all branches of the search,
+//! not per branch. When the budget reaches zero before the search
+//! concludes, the verdict is [`SearchOutcome::BudgetExhausted`] — never a
+//! wrong answer. Only granted steps reach the context's meter, so one
+//! proof meters at most its budget. The budget is the knob callers (e.g.
+//! `Translation::type_satisfiable_cx`) use to bound the exponential worst
+//! case the paper attributes to complete DL reasoning (§4).
 
+use crate::absorb::Absorbed;
 use crate::arena::{invert_role_expr, Arena, CKind, ConceptId, RoleExprId};
 use crate::concept::Concept;
 use crate::exec::{ExecCx, Interrupt, CHECK_INTERVAL};
-use crate::tbox::{AxiomId, AxiomKind, RoleClosure, TBox};
+use crate::tbox::{AxiomId, RoleClosure, TBox};
+use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Verdict of a satisfiability check.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -175,7 +195,7 @@ impl From<SearchOutcome> for DlOutcome {
 /// assert_eq!(satisfiable_cx(&tbox, &a, &cancelled), SearchOutcome::Cancelled);
 /// ```
 pub fn satisfiable_cx(tbox: &TBox, query: &Concept, cx: &ExecCx) -> SearchOutcome {
-    match prove(tbox, query, cx, false) {
+    match prove(tbox, query, cx) {
         Ok((engine, result)) => engine.outcome(result),
         Err(interrupt) => interrupt.into(),
     }
@@ -212,7 +232,7 @@ pub fn satisfiable_with_witness_cx(
     query: &Concept,
     cx: &ExecCx,
 ) -> (SearchOutcome, Option<Witness>) {
-    match prove(tbox, query, cx, false) {
+    match prove(tbox, query, cx) {
         Ok((engine, SResult::Sat)) => (SearchOutcome::Sat, Some(engine.into_witness())),
         Ok((engine, result)) => (engine.outcome(result), None),
         Err(interrupt) => (interrupt.into(), None),
@@ -250,7 +270,7 @@ pub fn satisfiable_with_conflict_cx(
     query: &Concept,
     cx: &ExecCx,
 ) -> (SearchOutcome, Option<Vec<AxiomId>>) {
-    match prove(tbox, query, cx, true) {
+    match prove(tbox, query, cx) {
         Ok((_, SResult::Unsat(conflict))) => {
             (SearchOutcome::Unsat, Some(resolve_axioms(tbox, conflict.axs)))
         }
@@ -307,21 +327,13 @@ pub(crate) fn subsumption(outcome: SearchOutcome) -> Result<Option<bool>, Interr
 /// The one proof driver behind every public entry point: the upfront
 /// interrupt check, then one metered search. `Err` means the context was
 /// already interrupted and nothing ran.
-fn prove(
-    tbox: &TBox,
-    query: &Concept,
-    cx: &ExecCx,
-    track: bool,
-) -> Result<(Engine, SResult), Interrupt> {
+fn prove(tbox: &TBox, query: &Concept, cx: &ExecCx) -> Result<(Engine, SResult), Interrupt> {
     // Already-interrupted contexts fail deterministically before any
     // search — a short proof must not slip past an expired deadline.
     cx.check()?;
     cx.note_proof();
-    let mut engine = Engine::new(tbox, query, cx, track);
-    let result = match engine.clash {
-        Some(conflict) => SResult::Unsat(conflict),
-        None => engine.search(),
-    };
+    let mut engine = Engine::new(tbox, query, cx);
+    let result = engine.search();
     engine.finish_metering();
     Ok((engine, result))
 }
@@ -341,8 +353,8 @@ fn prove(
 /// never flip the verdict.
 ///
 /// Memory trade-off: the witness keeps the proving engine's whole arena
-/// (which interned the internalized TBox alongside the query), so a
-/// cache full of `Sat` entries holds one arena per entry — O(TBox) each.
+/// (a copy of the absorbed rules' arena, plus the query), so a cache
+/// full of `Sat` entries holds one arena per entry — O(TBox) each.
 /// That is the price of id-comparable labels with zero re-interning at
 /// revalidation time; sharing one interner across witnesses would shrink
 /// it at the cost of coupling every entry's lifetime.
@@ -353,7 +365,16 @@ pub struct Witness {
     labels: Vec<Vec<ConceptId>>,
     /// Role labels of each surviving parent edge.
     edges: Vec<Vec<RoleExprId>>,
+    /// Per node, parallel to `labels`: the sorted role expressions
+    /// (closed under the role hierarchy) over which it has a neighbour,
+    /// so a `∀R.C` holds vacuously where `R` is absent.
+    neighbours: Vec<Vec<RoleExprId>>,
 }
+
+/// The arena-independent columns of a [`Witness`] that a snapshot stores:
+/// per-node labels as concept trees, the parent-edge role labels, and
+/// per-node neighbour roles.
+pub(crate) type WitnessParts = (Vec<Vec<Concept>>, Vec<Vec<RoleExprId>>, Vec<Vec<RoleExprId>>);
 
 impl Witness {
     /// Number of (alive) nodes in the witness forest.
@@ -374,9 +395,11 @@ impl Witness {
     /// clash-free forest induces: every concept *in* a node's label holds
     /// at that node (the tableau soundness lemma), and atom extensions
     /// are *exactly* the labels, so `¬A` holds wherever `A` is absent.
-    /// The check recurses through `⊓`/`⊔` and falls back to label
-    /// membership for role-quantified concepts (whose semantic evaluation
-    /// would need the blocked successors) — conservative, so `false`
+    /// The check recurses through `⊓`/`⊔`, takes a `∀R.C` as true at a
+    /// node with no `R`-neighbour (every element of the induced model has
+    /// its node's incident edges — a blocked node's edge leads to its
+    /// blocker, whose pair it mirrors), and otherwise falls back to label
+    /// membership for role-quantified concepts — conservative, so `false`
     /// never proves a violation.
     ///
     /// The axiom is interned into the witness's own arena (its ids must
@@ -403,9 +426,15 @@ impl Witness {
                 self.labels[node].binary_search(&complement).is_err()
             }
             CKind::Bottom => false,
+            CKind::ForAll(role, _) if self.lacks_neighbour(node, *role) => true,
             // Atoms and role-quantified concepts: membership only.
             _ => self.labels[node].binary_search(&cid).is_ok(),
         }
+    }
+
+    /// Whether `node` has no `role`-neighbour in the induced model.
+    fn lacks_neighbour(&self, node: usize, role: RoleExprId) -> bool {
+        self.neighbours[node].binary_search(&role).is_err()
     }
 
     /// Whether no edge of the witness violates the disjointness
@@ -428,17 +457,18 @@ impl Witness {
     }
 
     /// Arena-independent serialization parts: per-node label sets
-    /// resolved to concept trees, plus the edge role labels (already
-    /// global — [`RoleExprId`] encodes `2·name + inverse` with no arena
-    /// involved). The snapshot machinery stores these; the arena itself
-    /// (process-local interning state) never leaves the process.
-    pub(crate) fn snapshot_parts(&self) -> (Vec<Vec<Concept>>, Vec<Vec<RoleExprId>>) {
+    /// resolved to concept trees, plus the edge role labels and the
+    /// per-node neighbour roles (already global — [`RoleExprId`] encodes
+    /// `2·name + inverse` with no arena involved). The snapshot machinery
+    /// stores these; the arena itself (process-local interning state)
+    /// never leaves the process.
+    pub(crate) fn snapshot_parts(&self) -> WitnessParts {
         let labels = self
             .labels
             .iter()
             .map(|ids| ids.iter().map(|&id| self.arena.resolve(id)).collect())
             .collect();
-        (labels, self.edges.clone())
+        (labels, self.edges.clone(), self.neighbours.clone())
     }
 
     /// Rebuild a witness from [`Witness::snapshot_parts`] output: each
@@ -446,10 +476,7 @@ impl Witness {
     /// re-sorted (interning is content-addressed, so `holds`'s binary
     /// searches and `confirms_gci`'s id comparisons behave exactly as in
     /// the original witness).
-    pub(crate) fn from_snapshot_parts(
-        labels: Vec<Vec<Concept>>,
-        edges: Vec<Vec<RoleExprId>>,
-    ) -> Witness {
+    pub(crate) fn from_snapshot_parts((labels, edges, neighbours): WitnessParts) -> Witness {
         let mut arena = Arena::new();
         let labels = labels
             .into_iter()
@@ -460,7 +487,7 @@ impl Witness {
                 ids
             })
             .collect();
-        Witness { arena, labels, edges }
+        Witness { arena, labels, edges, neighbours }
     }
 }
 
@@ -507,15 +534,15 @@ fn precise_level(level: u32) -> bool {
 /// 63 and beyond share the saturation bit 63, which resolves to *every*
 /// axiom at flat position ≥ 63 — strictly conservative, like the
 /// decision-level saturation.
-type AxSet = u64;
+pub(crate) type AxSet = u64;
 
 /// The usage bit of the axiom at flat position `flat`.
-fn ax_bit(flat: usize) -> AxSet {
+pub(crate) fn ax_bit(flat: usize) -> AxSet {
     1u64 << flat.min(63)
 }
 
 /// The union of all usage bits for flat positions `start..start + len`.
-fn ax_mask(start: usize, len: usize) -> AxSet {
+pub(crate) fn ax_mask(start: usize, len: usize) -> AxSet {
     (start..start + len).fold(0, |m, i| m | ax_bit(i))
 }
 
@@ -657,20 +684,8 @@ struct Mark {
 
 struct Engine {
     arena: Arena,
-    roles: RoleClosure,
-    /// Top-level conjuncts of the internalized TBox, seeded into every node.
-    internal: Vec<ConceptId>,
-    /// Axiom-usage bits per internal conjunct, parallel to `internal`
-    /// (all zero when tracking is off; a conjunct two GCIs canonicalize to
-    /// carries both bits).
-    internal_ax: Vec<AxSet>,
-    /// Usage bits of every role-inclusion axiom, folded into each edge
-    /// fact (the role closure may have consulted any of them). Zero when
-    /// tracking is off or the TBox has no inclusions.
-    role_ax_mask: AxSet,
-    /// Usage bits of every disjointness declaration, folded into each
-    /// edge-disjointness clash. Zero when tracking is off.
-    disjoint_ax_mask: AxSet,
+    /// The TBox's absorbed rules (shared per revision across proofs).
+    rules: Arc<Absorbed>,
     nodes: Vec<ENode>,
     trail: Vec<Op>,
     /// Dirty-node worklist + membership flags (no duplicate entries).
@@ -693,12 +708,13 @@ struct Engine {
     /// Set eagerly by label/edge mutations that produce a clash; carries
     /// the conflict's justification (union of the culprits').
     clash: Option<Just>,
-    /// Current decision level: number of open `⊔`/`≤` choice points.
-    level: u32,
+    /// The open `⊔`/`≤` choice points, innermost last; the current
+    /// decision level is the stack's length.
+    choices: Vec<Choice>,
     budget: u64,
     /// The execution context the proof runs under.
     cx: ExecCx,
-    /// Steps spent since the last meter flush (flushed every
+    /// Granted steps not yet flushed into the meter (flushed every
     /// [`CHECK_INTERVAL`] steps and at search exit).
     pending_steps: u64,
     /// The interrupt that stopped the search, when one did — this is
@@ -707,56 +723,69 @@ struct Engine {
     tripped: Option<Interrupt>,
     /// Scratch buffer for neighbour collection (no per-call allocation).
     scratch: Vec<u32>,
+    /// Scratch stack of label inserts still to make (`add_concept`'s
+    /// worklist: conjuncts and unfolded rules, depth-first).
+    pending: Vec<(ConceptId, Just)>,
+    /// Blocking status and its scratch buffers.
+    blocking: Blocking,
+}
+
+/// Which nodes are blocked ([`Engine::compute_blocking`]), with the
+/// buffers that computation reuses.
+#[derive(Debug, Default)]
+struct Blocking {
+    /// Per node, whether it is blocked (valid right after a
+    /// recomputation, until the forest changes).
+    blocked: Vec<bool>,
+    /// Pair signature → the first unblocked node carrying it.
+    first: HashMap<u64, u32>,
+    /// Unblocked nodes whose signature equals an earlier, different pair.
+    collided: Vec<u32>,
+    /// Tree-walk stack.
+    stack: Vec<u32>,
+}
+
+/// One open choice point: everything needed to try its next alternative
+/// after the current one is refuted, kept on [`Engine::choices`] instead
+/// of a call frame, so the search depth is bounded by the heap, not by
+/// the thread's stack.
+#[derive(Debug)]
+struct Choice {
+    /// The state every alternative starts from.
+    mark: Mark,
+    /// Its 1-based decision level (its depth on the stack).
+    level: u32,
+    /// The choice's premise: every refutation of the whole point
+    /// inherits it.
+    base: Just,
+    /// Union of the refuted alternatives' conflicts (this level's bit
+    /// stripped when precise).
+    acc: Just,
+    /// Some alternative ran out of budget or was interrupted.
+    limited: bool,
+    alternatives: Alternatives,
+}
+
+/// The alternatives of a choice point, with a cursor to the next one.
+#[derive(Debug)]
+enum Alternatives {
+    /// The disjuncts of the `⊔` concept `or` at `node`.
+    Or { node: u32, or: ConceptId, next: usize },
+    /// The mergeable pairs among `neighbors`, the surplus `R`-neighbours
+    /// of `via`; `(i, j)` is the next pair to consider.
+    Merge { via: u32, neighbors: Vec<u32>, i: usize, j: usize },
 }
 
 impl Engine {
-    /// The engine for one proof of `query` under `cx`. With `track` set,
-    /// facts carry axiom-usage sets for unsat-core seeding: instead of
-    /// interning the memoized internalized concept in one go, each GCI's
-    /// `¬C ⊔ D` is interned individually so every internal conjunct can be
-    /// tagged with its axiom's bit — one `implies` clone per GCI per
-    /// construction, the price the explanation path pays and the hot query
-    /// paths do not.
-    fn new(tbox: &TBox, query: &Concept, cx: &ExecCx, track: bool) -> Engine {
-        let mut arena = Arena::new();
-        let mut internal = Vec::new();
-        let mut internal_ax = Vec::new();
-        if track {
-            for (flat, (c, d)) in tbox.gcis().iter().enumerate() {
-                let id = arena.intern(&Concept::implies(c.clone(), d.clone()));
-                if matches!(arena.kind(id), CKind::Top) {
-                    continue;
-                }
-                // Two GCIs may canonicalize to one conjunct: merge bits.
-                match internal.iter().position(|x| *x == id) {
-                    Some(pos) => internal_ax[pos] |= ax_bit(flat),
-                    None => {
-                        internal.push(id);
-                        internal_ax.push(ax_bit(flat));
-                    }
-                }
-            }
-        } else {
-            let internal_concept = tbox.internalized();
-            let internal_id = arena.intern(&internal_concept);
-            internal = match arena.kind(internal_id) {
-                CKind::Top => Vec::new(),
-                CKind::And(ids) => ids.to_vec(),
-                _ => vec![internal_id],
-            };
-            internal_ax = vec![0; internal.len()];
-        }
-        let (role_ax_mask, disjoint_ax_mask) = if track {
-            let g = tbox.gcis().len();
-            let ri = tbox.axiom_ids().filter(|a| a.kind == AxiomKind::RoleInclusion).count();
-            let dj = tbox.axiom_count() - g - ri;
-            (ax_mask(g, ri), ax_mask(g + ri, dj))
-        } else {
-            (0, 0)
-        };
+    /// The engine for one proof of `query` under `cx`: a clone of the
+    /// absorbed rules' arena (so rule ids stay valid), the query and the
+    /// residual conjuncts seeded at the root. Facts always carry their
+    /// axiom-usage sets; only [`satisfiable_with_conflict_cx`] reads them.
+    fn new(tbox: &TBox, query: &Concept, cx: &ExecCx) -> Engine {
+        let rules = tbox.absorbed();
+        let mut arena = rules.arena.clone();
         let query_id = arena.intern(query);
-        let roles = tbox.role_closure();
-        let words = roles.words();
+        let words = rules.roles.words();
         let root = ENode {
             alive: true,
             parent: NO_PARENT,
@@ -775,11 +804,7 @@ impl Engine {
         };
         let mut engine = Engine {
             arena,
-            roles,
-            internal,
-            internal_ax,
-            role_ax_mask,
-            disjoint_ax_mask,
+            rules,
             nodes: vec![root],
             trail: Vec::new(),
             dirty: Vec::new(),
@@ -790,19 +815,43 @@ impl Engine {
             gen_agenda: Vec::new(),
             gen_done: Vec::new(),
             clash: None,
-            level: 0,
+            choices: Vec::new(),
             budget: cx.steps().unwrap_or(u64::MAX),
             cx: cx.clone(),
             pending_steps: 0,
             tripped: None,
             scratch: Vec::new(),
+            pending: Vec::new(),
+            blocking: Blocking::default(),
         };
         engine.add_concept(0, query_id, Just::default());
-        for (i, cid) in engine.internal.clone().into_iter().enumerate() {
-            let axs = engine.internal_ax[i];
-            engine.add_concept(0, cid, Just::axioms(axs));
-        }
+        engine.seed_residue(0, Just::default());
         engine
+    }
+
+    /// Seed the internalized residue into `node`, each conjunct resting
+    /// on `deps` plus its own axiom.
+    fn seed_residue(&mut self, node: u32, deps: Just) {
+        // Index loop: the residue is shared and never changes, and
+        // cloning it would put an allocation on every node creation.
+        for i in 0..self.rules.residue.len() {
+            let (cid, axs) = self.rules.residue[i];
+            self.add_concept(node, cid, deps | Just::axioms(axs));
+        }
+    }
+
+    /// Fire the domain/range rules of a fresh `role` link between
+    /// `parent` and its child `child`: the parent gains a neighbour over
+    /// `role`, the child one over its inverse. The added facts rest on
+    /// the link and on the rule's axiom.
+    fn fire_edge_rules(&mut self, parent: u32, child: u32, role: RoleExprId) {
+        let link = self.link_deps(parent, child);
+        for (node, r) in [(parent, role), (child, invert_role_expr(role))] {
+            for i in 0..self.rules.edge(r).len() {
+                let (cid, axs) = self.rules.edge(r)[i];
+                self.add_concept(node, cid, link | Just::axioms(axs));
+            }
+        }
     }
 
     /// Extract the compact witness model of a `Sat` verdict: the alive
@@ -812,16 +861,27 @@ impl Engine {
     fn into_witness(self) -> Witness {
         let mut labels = Vec::new();
         let mut edges = Vec::new();
+        let mut neighbours = Vec::new();
         for node in &self.nodes {
             if !node.alive {
                 continue;
             }
             labels.push(node.label.clone());
+            // The parent edge seen from this node, plus every child edge.
+            let mut incident = node.up_closure.clone();
+            for &c in &node.children {
+                let child = &self.nodes[c as usize];
+                if child.alive {
+                    incident.iter_mut().zip(&child.down_closure).for_each(|(w, b)| *w |= b);
+                }
+            }
+            let roles = 0..self.rules.roles.n_exprs() as RoleExprId;
+            neighbours.push(roles.filter(|&r| RoleClosure::contains(&incident, r)).collect());
             if node.parent != NO_PARENT && !node.edge.is_empty() {
                 edges.push(node.edge.clone());
             }
         }
-        Witness { arena: self.arena, labels, edges }
+        Witness { arena: self.arena, labels, edges, neighbours }
     }
 
     /// Spend one budget unit after a cooperative context check. Returns
@@ -832,6 +892,10 @@ impl Engine {
     /// choice point, generator, and quiescence certification; the
     /// expensive checks (clock read, meter flush, auto-cancel trigger)
     /// are amortized over [`CHECK_INTERVAL`] steps.
+    ///
+    /// Only granted steps are metered: the refusals the search meets
+    /// while it unwinds after the budget ran out cost nothing, so one
+    /// proof never meters more than its budget.
     fn spend(&mut self) -> bool {
         if self.tripped.is_some() {
             // Already interrupted: the unwinding alternatives must not
@@ -842,7 +906,6 @@ impl Engine {
             self.tripped = Some(Interrupt::Cancelled);
             return false;
         }
-        self.pending_steps += 1;
         if self.pending_steps >= CHECK_INTERVAL {
             let pending = std::mem::take(&mut self.pending_steps);
             if let Err(interrupt) = self.cx.check_after(pending) {
@@ -854,6 +917,7 @@ impl Engine {
             return false;
         }
         self.budget -= 1;
+        self.pending_steps += 1;
         true
     }
 
@@ -891,15 +955,6 @@ impl Engine {
         }
     }
 
-    /// The `i`-th conjunct of an interned `⊓` (re-fetched through the
-    /// arena so hot loops need not clone the child slice).
-    fn and_child(&self, cid: ConceptId, i: usize) -> ConceptId {
-        match self.arena.kind(cid) {
-            CKind::And(ids) => ids[i],
-            _ => unreachable!("caller checked the kind"),
-        }
-    }
-
     /// The recorded justification of a label member. The first
     /// justification wins: re-deriving a present member under different
     /// deps keeps the original set (which is a valid justification for as
@@ -921,20 +976,33 @@ impl Engine {
     }
 
     /// Insert `cid` into `node`'s label with justification `deps`, fusing
-    /// the `⊓`-rule, recording the trail, feeding the agendas and
-    /// detecting immediate clashes.
+    /// the `⊓`-rule and lazy unfolding, recording the trail, feeding the
+    /// agendas and detecting immediate clashes. Conjuncts and unfolded
+    /// concepts go through an explicit depth-first worklist, so long
+    /// unfolding chains cost heap, not stack.
     fn add_concept(&mut self, node: u32, cid: ConceptId, deps: Just) {
+        let mut pending = std::mem::take(&mut self.pending);
+        pending.push((cid, deps));
+        while let Some((cid, deps)) = pending.pop() {
+            self.insert_label(node, cid, deps, &mut pending);
+        }
+        self.pending = pending;
+    }
+
+    /// One step of [`Engine::add_concept`]: insert `cid` itself, pushing
+    /// what it implies (its conjuncts, or its unfolding when it is an
+    /// atom) onto `pending` in reverse, so they are inserted in order.
+    fn insert_label(
+        &mut self,
+        node: u32,
+        cid: ConceptId,
+        deps: Just,
+        pending: &mut Vec<(ConceptId, Just)>,
+    ) {
         match self.arena.kind(cid) {
             CKind::Top => return,
             CKind::And(ids) => {
-                // Index loop with per-iteration re-fetch: no allocation on
-                // this path, which fires for every conjunctive disjunct,
-                // ∀-body and merged label.
-                let len = ids.len();
-                for i in 0..len {
-                    let child = self.and_child(cid, i);
-                    self.add_concept(node, child, deps);
-                }
+                pending.extend(ids.iter().rev().map(|&child| (child, deps)));
                 return;
             }
             _ => {}
@@ -963,14 +1031,49 @@ impl Engine {
                         deps | self.label_dep(node, neg) | self.nodes[node as usize].deps;
                     self.raise_clash(conflict);
                 }
+                if let Some((other, axs)) = self.told_disjoint_partner(node, cid) {
+                    let conflict = deps
+                        | self.label_dep(node, other)
+                        | self.nodes[node as usize].deps
+                        | Just::axioms(axs);
+                    self.raise_clash(conflict);
+                }
+                let unfold = self.rules.unfold(cid);
+                pending.extend(unfold.iter().rev().map(|&(d, axs)| (d, deps | Just::axioms(axs))));
             }
             CKind::Or(_) => self.or_agenda.push((node, cid)),
-            CKind::Exists(..) | CKind::AtLeast(..) => {
+            CKind::Exists(role, _) | CKind::AtLeast(1.., role) => {
                 self.gen_agenda.push((node, cid));
                 self.gen_done.push(false);
+                // The node will have a `role`-neighbour in every model, so
+                // it satisfies the domain rules of `role` now. Firing them
+                // here rather than when the neighbour is created keeps
+                // the label complete before generation, which is what
+                // lets blocking stop the node's subtree at once.
+                let rules = self.rules.edge(*role);
+                pending.extend(rules.iter().rev().map(|&(d, axs)| (d, deps | Just::axioms(axs))));
             }
             CKind::AtMost(..) => self.atmost_agenda.push((node, cid)),
+            // `∀` propagates when its node is processed; `≥0 R` is `⊤`.
             _ => {}
+        }
+    }
+
+    /// An atom in `node`'s label told disjoint from the atom `cid`, with
+    /// the disjointness axioms' bits. Walks whichever of the label and the
+    /// partner list is shorter, binary-searching the other.
+    fn told_disjoint_partner(&self, node: u32, cid: ConceptId) -> Option<(ConceptId, AxSet)> {
+        let partners = self.rules.disjoint(cid);
+        if partners.is_empty() {
+            return None;
+        }
+        let label = &self.nodes[node as usize].label;
+        if partners.len() <= label.len() {
+            partners.iter().copied().find(|(other, _)| label.binary_search(other).is_ok())
+        } else {
+            label.iter().find_map(|other| {
+                partners.binary_search_by_key(other, |&(p, _)| p).ok().map(|pos| partners[pos])
+            })
         }
     }
 
@@ -984,18 +1087,19 @@ impl Engine {
     }
 
     /// Insert `role` into `node`'s up-edge label set with justification
-    /// `deps`, maintaining both closure bitsets and the edge fingerprint.
-    /// Every edge fact additionally carries the role-inclusion axiom mask:
-    /// whether this edge counts as an `S`-edge may rest on any inclusion.
+    /// `deps`, maintaining both closure bitsets and the edge fingerprint,
+    /// and fire the domain/range rules the new role brings. Every edge
+    /// fact additionally carries the role-inclusion axiom mask: whether
+    /// this edge counts as an `S`-edge may rest on any inclusion.
     fn add_edge_role(&mut self, node: u32, role: RoleExprId, deps: Just) {
         let slot = match self.nodes[node as usize].edge.binary_search(&role) {
             Ok(_) => return,
             Err(slot) => slot,
         };
-        let deps = deps | Just::axioms(self.role_ax_mask);
+        let deps = deps | Just::axioms(self.rules.role_ax_mask);
         let inv = invert_role_expr(role);
         let (parent, clash_deps) = {
-            let roles = &self.roles;
+            let roles = &self.rules.roles;
             let n = &mut self.nodes[node as usize];
             n.edge.insert(slot, role);
             n.edge_deps.insert(slot, deps);
@@ -1012,12 +1116,13 @@ impl Engine {
             (n.parent, clash_deps)
         };
         if let Some(conflict) = clash_deps {
-            self.raise_clash(conflict | Just::axioms(self.disjoint_ax_mask));
+            self.raise_clash(conflict | Just::axioms(self.rules.disjoint_ax_mask));
         }
         self.trail.push(Op::EdgeRole { node, role });
         self.mark_dirty(node);
         if parent != NO_PARENT {
             self.mark_dirty(parent);
+            self.fire_edge_rules(parent, node, role);
         }
     }
 
@@ -1043,10 +1148,11 @@ impl Engine {
         }
     }
 
-    /// Create a fresh `role`-child of `parent`, seeded with the
-    /// internalized TBox plus `seed`. `deps` is the justification of the
-    /// generating rule's premise (the `∃`/`≥` label plus the parent's own
-    /// existence); everything about the new node inherits it.
+    /// Create a fresh `role`-child of `parent`, seeded with `seed`, the
+    /// internalized residue and the domain/range rules of the new edge.
+    /// `deps` is the justification of the generating rule's premise (the
+    /// `∃`/`≥` label plus the parent's own existence); everything about
+    /// the new node inherits it.
     fn add_child(
         &mut self,
         parent: u32,
@@ -1054,15 +1160,15 @@ impl Engine {
         seed: Option<ConceptId>,
         deps: Just,
     ) -> u32 {
-        let words = self.roles.words();
+        let roles = &self.rules.roles;
         let id = self.nodes.len() as u32;
-        let edge_deps = deps | Just::axioms(self.role_ax_mask);
-        let mut down_closure = vec![0; words];
-        let mut up_closure = vec![0; words];
-        self.roles.union_row_into(&mut down_closure, role);
-        self.roles.union_row_into(&mut up_closure, invert_role_expr(role));
-        if self.roles.has_disjointness() && self.roles.edge_violates_disjointness(&down_closure) {
-            self.raise_clash(edge_deps | Just::axioms(self.disjoint_ax_mask));
+        let edge_deps = deps | Just::axioms(self.rules.role_ax_mask);
+        let mut down_closure = vec![0; roles.words()];
+        let mut up_closure = vec![0; roles.words()];
+        roles.union_row_into(&mut down_closure, role);
+        roles.union_row_into(&mut up_closure, invert_role_expr(role));
+        if roles.has_disjointness() && roles.edge_violates_disjointness(&down_closure) {
+            self.raise_clash(edge_deps | Just::axioms(self.rules.disjoint_ax_mask));
         }
         self.nodes.push(ENode {
             alive: true,
@@ -1086,14 +1192,8 @@ impl Engine {
         if let Some(cid) = seed {
             self.add_concept(id, cid, deps);
         }
-        // Index loop: `internal` never changes after construction, and
-        // cloning it here would put an allocation on every ∃/≥ firing.
-        // Each conjunct rests on the node's existence plus its own axiom.
-        for i in 0..self.internal.len() {
-            let cid = self.internal[i];
-            let axs = self.internal_ax[i];
-            self.add_concept(id, cid, deps | Just::axioms(axs));
-        }
+        self.seed_residue(id, deps);
+        self.fire_edge_rules(parent, id, role);
         self.mark_dirty(parent);
         self.mark_dirty(id);
         id
@@ -1188,7 +1288,7 @@ impl Engine {
                     n.label_hash ^= mix;
                 }
                 Op::EdgeRole { node, role } => {
-                    let roles = &self.roles;
+                    let roles = &self.rules.roles;
                     let n = &mut self.nodes[node as usize];
                     let pos = n.edge.binary_search(&role).expect("edge op consistent");
                     n.edge.remove(pos);
@@ -1316,24 +1416,29 @@ impl Engine {
             }
         }
         // Edge disjointness.
-        if self.roles.has_disjointness()
+        let roles = &self.rules.roles;
+        if roles.has_disjointness()
             && !self.nodes[x as usize].edge.is_empty()
-            && self.roles.edge_violates_disjointness(&self.nodes[x as usize].down_closure)
+            && roles.edge_violates_disjointness(&self.nodes[x as usize].down_closure)
         {
             let conflict = {
                 let n = &self.nodes[x as usize];
-                n.deps | n.edge_deps_all() | Just::axioms(self.disjoint_ax_mask)
+                n.deps | n.edge_deps_all() | Just::axioms(self.rules.disjoint_ax_mask)
             };
             self.raise_clash(conflict);
             return;
         }
-        // ≤n R with more than n pairwise-distinct R-neighbours.
+        // ≤n R with more than n pairwise-distinct R-neighbours (for
+        // ≤0 R, any one neighbour).
         let mut scratch = std::mem::take(&mut self.scratch);
         for i in 0..self.nodes[x as usize].label.len() {
             let cid = self.nodes[x as usize].label[i];
             let CKind::AtMost(n, role) = *self.arena.kind(cid) else { continue };
             Self::collect_neighbors(&self.nodes, x, role, &mut scratch);
             if scratch.len() > n as usize {
+                if n == 0 {
+                    scratch.truncate(1);
+                }
                 if let Some(pair_deps) = self.all_pairwise_distinct(&scratch) {
                     let mut conflict =
                         pair_deps | self.label_dep(x, cid) | self.nodes[x as usize].deps;
@@ -1391,38 +1496,62 @@ impl Engine {
         go(self, nodes, &mut Vec::new(), n)
     }
 
-    /// Ancestors of `x` (exclusive), root last.
-    fn ancestors(&self, x: u32) -> impl Iterator<Item = u32> + '_ {
-        let mut cur = self.nodes[x as usize].parent;
-        std::iter::from_fn(move || {
-            if cur == NO_PARENT {
-                return None;
+    /// The fingerprint of `x`'s blocking pair: its label, its parent's
+    /// label and the edge between them (`x` must have a parent).
+    fn pair_signature(&self, x: u32) -> u64 {
+        let n = &self.nodes[x as usize];
+        let parent = &self.nodes[n.parent as usize];
+        n.label_hash ^ parent.label_hash.rotate_left(21) ^ n.edge_hash.rotate_left(42)
+    }
+
+    /// Recompute which nodes are blocked, by pairwise *anywhere* blocking
+    /// (as in HermiT: Motik, Shearer & Horrocks, "Hypertableau reasoning
+    /// for description logics", JAIR 2009). The forest is walked in tree
+    /// order, parents first: a node is blocked when its parent is
+    /// (indirect blocking), or when an earlier unblocked node mirrors it
+    /// and its parent exactly (direct blocking) — any earlier node, not
+    /// only an ancestor, so each kind of node pair is expanded once in the
+    /// whole forest instead of once per branch of it.
+    fn compute_blocking(&mut self) {
+        let mut b = std::mem::take(&mut self.blocking);
+        b.blocked.clear();
+        b.blocked.resize(self.nodes.len(), false);
+        b.first.clear();
+        b.collided.clear();
+        b.stack.clear();
+        b.stack.push(0);
+        while let Some(x) = b.stack.pop() {
+            let n = &self.nodes[x as usize];
+            if n.parent != NO_PARENT {
+                b.blocked[x as usize] = b.blocked[n.parent as usize] || {
+                    let sig = self.pair_signature(x);
+                    match b.first.get(&sig) {
+                        None => {
+                            b.first.insert(sig, x);
+                            false
+                        }
+                        // Equal fingerprints of unequal pairs are
+                        // vanishingly rare; such nodes still become
+                        // candidate blockers, on a side list.
+                        Some(&y) if !self.directly_blocks(y, x) => {
+                            let blocked = b.collided.iter().any(|&z| self.directly_blocks(z, x));
+                            if !blocked {
+                                b.collided.push(x);
+                            }
+                            blocked
+                        }
+                        Some(_) => true,
+                    }
+                };
             }
-            let here = cur;
-            cur = self.nodes[cur as usize].parent;
-            Some(here)
-        })
-    }
-
-    /// Pairwise blocking with a fingerprint fast path: `x` is blocked when
-    /// some ancestor pair mirrors `x` and its parent exactly, or some
-    /// ancestor is itself directly blocked (indirect blocking).
-    fn blocked(&self, x: u32) -> bool {
-        if self.nodes[x as usize].parent == NO_PARENT {
-            return false;
+            let alive = |c: &&u32| self.nodes[**c as usize].alive;
+            b.stack.extend(n.children.iter().rev().filter(alive));
         }
-        self.ancestors(x).any(|y| self.directly_blocks(y, x) || self.blocked_directly(y))
+        self.blocking = b;
     }
 
-    fn blocked_directly(&self, x: u32) -> bool {
-        if self.nodes[x as usize].parent == NO_PARENT {
-            return false;
-        }
-        self.ancestors(x).any(|y| self.directly_blocks(y, x))
-    }
-
-    /// Whether ancestor `y` (with its parent) mirrors `x` (with its
-    /// parent): the pairwise-blocking witness test.
+    /// Whether `y` (with its parent) mirrors `x` (with its parent): the
+    /// pairwise-blocking witness test.
     fn directly_blocks(&self, y: u32, x: u32) -> bool {
         let yp = self.nodes[y as usize].parent;
         if yp == NO_PARENT {
@@ -1441,64 +1570,172 @@ impl Engine {
         nx.label == ny.label && nxp.label == nyp.label && nx.edge == ny.edge
     }
 
-    /// One alternative of a choice point: apply the mutation (already
-    /// done by the caller), search the branch, roll back, and fold the
-    /// outcome into the running conflict accumulator. Returns `Some(r)`
-    /// when the whole choice point should return `r` immediately (model
-    /// found, or a backjump past this level).
-    fn explore_alternative(
-        &mut self,
-        mark: Mark,
-        level: u32,
-        bit: DepSet,
-        acc: &mut Just,
-        limited: &mut bool,
-    ) -> Option<SResult> {
-        let result =
-            if let Some(conflict) = self.clash { SResult::Unsat(conflict) } else { self.search() };
-        match result {
-            SResult::Sat => {
-                self.level -= 1;
-                return Some(SResult::Sat);
+    /// The search: expand the current branch until it is complete (Sat),
+    /// clashes (Unsat) or runs out of budget (Limit), opening `⊔`/`≤`
+    /// choice points on the way. Choice points live on an explicit stack
+    /// ([`Engine::choices`]), not in call frames: a refuted or starved
+    /// branch is folded into the innermost open choice, which either
+    /// moves on to its next alternative or is itself decided and folded
+    /// into the next one out. An `Unsat` result carries the conflict's
+    /// justification for backjumping and core extraction.
+    fn search(&mut self) -> SResult {
+        loop {
+            let mut result = match self.clash {
+                Some(conflict) => SResult::Unsat(conflict),
+                None => match self.expand() {
+                    Some(result) => result,
+                    // A choice point opened on its first alternative.
+                    None => continue,
+                },
+            };
+            if let SResult::Sat = result {
+                // The complete forest stays in place for the witness.
+                self.choices.clear();
+                return SResult::Sat;
             }
+            loop {
+                if self.choices.is_empty() {
+                    return result;
+                }
+                match self.backtrack(result) {
+                    Some(decided) => {
+                        self.choices.pop();
+                        result = decided;
+                    }
+                    // The next alternative is in place.
+                    None => break,
+                }
+            }
+        }
+    }
+
+    /// Fold the refuted or starved branch `result` into the innermost
+    /// choice point and roll back to it. `Some` when that settles the
+    /// choice point (a backjump past it, or no alternative left); `None`
+    /// when its next alternative has been applied.
+    fn backtrack(&mut self, result: SResult) -> Option<SResult> {
+        let top = self.choices.len() - 1;
+        let (mark, level) = (self.choices[top].mark, self.choices[top].level);
+        let bit = choice_bit(level);
+        self.rollback(mark);
+        match result {
             SResult::Unsat(conflict) => {
-                self.rollback(mark);
                 if precise_level(level) && conflict.deps & bit == 0 {
                     // The refutation never used this choice: no sibling
                     // can avoid it. Jump straight past this choice point.
-                    self.level -= 1;
                     return Some(SResult::Unsat(conflict));
                 }
                 // Strip this level's bit only when it is exclusively
                 // ours; saturated levels keep bit 63 so outer saturated
-                // frames never skip on its account. Axiom bits are never
+                // choices never skip on its account. Axiom bits are never
                 // stripped — every branch's culprits join the refutation.
-                acc.deps |= if precise_level(level) { conflict.deps & !bit } else { conflict.deps };
-                acc.axs |= conflict.axs;
+                let c = &mut self.choices[top];
+                c.acc.deps |=
+                    if precise_level(level) { conflict.deps & !bit } else { conflict.deps };
+                c.acc.axs |= conflict.axs;
             }
-            SResult::Limit => {
-                *limited = true;
-                self.rollback(mark);
-            }
+            SResult::Limit => self.choices[top].limited = true,
+            SResult::Sat => unreachable!("a Sat branch ends the search"),
         }
-        None
+        self.next_alternative()
     }
 
-    /// The search loop: drain deterministic work, then branch on `⊔`,
-    /// then on `≤`-merges, then apply one generating rule; a quiescent,
-    /// clash-free forest is satisfiable. An `Unsat` result carries the
-    /// conflict dependency set for backjumping.
-    fn search(&mut self) -> SResult {
+    /// Apply the innermost choice point's next alternative (`None`), or
+    /// report its verdict when none is left (`Some`): `Limit` when some
+    /// alternative starved, else the union of the refutations.
+    fn next_alternative(&mut self) -> Option<SResult> {
+        let top = self.choices.len() - 1;
+        let deps = self.choices[top].base.with_bit(choice_bit(self.choices[top].level));
+        match self.choices[top].alternatives {
+            Alternatives::Or { node, or, ref mut next } => {
+                let CKind::Or(ids) = self.arena.kind(or) else {
+                    unreachable!("or choices hold disjunctions")
+                };
+                if let Some(&d) = ids.get(*next) {
+                    *next += 1;
+                    self.add_concept(node, d, deps);
+                    return None;
+                }
+            }
+            Alternatives::Merge { .. } => {
+                // Try every mergeable pair; merge the child of the pair.
+                while let Some((via, a, b)) = self.next_pair(top) {
+                    if self.nodes[a as usize].distinct.binary_search(&b).is_ok() {
+                        // This pair is ruled out by a distinctness
+                        // assertion: the refutation rests on it too.
+                        let dep = self.distinct_dep(a, b);
+                        self.choices[top].acc |= dep;
+                        continue;
+                    }
+                    // At most one of a, b is via's parent; merge the
+                    // child into the other node.
+                    let (from, to) =
+                        if self.nodes[via as usize].parent == a { (b, a) } else { (a, b) };
+                    self.merge(via, from, to, deps);
+                    return None;
+                }
+            }
+        }
+        let c = &self.choices[top];
+        Some(if c.limited { SResult::Limit } else { SResult::Unsat(c.acc) })
+    }
+
+    /// Advance the merge choice at `top` to its next neighbour pair.
+    fn next_pair(&mut self, top: usize) -> Option<(u32, u32, u32)> {
+        let Alternatives::Merge { via, ref neighbors, ref mut i, ref mut j } =
+            self.choices[top].alternatives
+        else {
+            unreachable!("caller checked the kind")
+        };
+        if *j >= neighbors.len() {
+            *i += 1;
+            *j = *i + 1;
+        }
+        if *j >= neighbors.len() {
+            return None;
+        }
+        let pair = (via, neighbors[*i], neighbors[*j]);
+        *j += 1;
+        Some(pair)
+    }
+
+    /// Open a choice point on `alternatives` at the current state and
+    /// apply its first alternative (`None`), or report its verdict at
+    /// once when it has none (`Some`).
+    fn open_choice(&mut self, base: Just, alternatives: Alternatives) -> Option<SResult> {
+        // Decision levels are 1-based: the stack depth after the push.
+        let level = self.choices.len() as u32 + 1;
+        self.choices.push(Choice {
+            mark: self.mark(),
+            level,
+            base,
+            acc: base,
+            limited: false,
+            alternatives,
+        });
+        let decided = self.next_alternative();
+        if decided.is_some() {
+            self.choices.pop();
+        }
+        decided
+    }
+
+    /// Expand the current branch: drain deterministic work, then branch on
+    /// `⊔`, then on `≤`-merges, then apply one generating rule; a
+    /// quiescent, clash-free forest is satisfiable. `Some` is the branch's
+    /// result; `None` means a choice point opened and its first
+    /// alternative is in place.
+    fn expand(&mut self) -> Option<SResult> {
         loop {
             // Drain the dirty worklist (∀-propagation and clash checks).
             while let Some(x) = self.dirty.pop() {
                 self.in_dirty[x as usize] = false;
                 if !self.spend() {
-                    return SResult::Limit;
+                    return Some(SResult::Limit);
                 }
                 self.process_node(x);
                 if let Some(conflict) = self.clash {
-                    return SResult::Unsat(conflict);
+                    return Some(SResult::Unsat(conflict));
                 }
             }
 
@@ -1516,29 +1753,12 @@ impl Engine {
                     continue;
                 }
                 if !self.spend() {
-                    return SResult::Limit;
+                    return Some(SResult::Limit);
                 }
-                let CKind::Or(ids) = self.arena.kind(cid) else { unreachable!() };
-                let disjuncts = ids.clone().into_vec();
                 // The choice exists because the disjunction label does:
                 // every refutation of the whole point inherits its deps.
                 let base = self.label_dep(node, cid) | self.nodes[node as usize].deps;
-                self.level += 1;
-                let level = self.level;
-                let bit = choice_bit(level);
-                let mut acc = base;
-                let mut limited = false;
-                for d in disjuncts {
-                    let mark = self.mark();
-                    self.add_concept(node, d, base.with_bit(bit));
-                    if let Some(out) =
-                        self.explore_alternative(mark, level, bit, &mut acc, &mut limited)
-                    {
-                        return out;
-                    }
-                }
-                self.level -= 1;
-                return if limited { SResult::Limit } else { SResult::Unsat(acc) };
+                return self.open_choice(base, Alternatives::Or { node, or: cid, next: 0 });
             }
 
             // ≤-rule: merge surplus neighbours (violation is not monotone,
@@ -1562,74 +1782,40 @@ impl Engine {
             self.scratch = scratch;
             if let Some((via, cid, neighbors)) = le_choice {
                 if !self.spend() {
-                    return SResult::Limit;
+                    return Some(SResult::Limit);
                 }
                 // The merge obligation rests on the ≤ label, the node and
-                // the links to every surplus neighbour.
+                // the links to every surplus neighbour. At least one pair
+                // is mergeable: were all pairs asserted distinct, the
+                // clash check in process_node would have fired before
+                // quiescence.
                 let mut base = self.label_dep(via, cid) | self.nodes[via as usize].deps;
                 for &y in &neighbors {
                     base |= self.link_deps(via, y);
                 }
-                self.level += 1;
-                let level = self.level;
-                let bit = choice_bit(level);
-                let mut acc = base;
-                let mut limited = false;
-                // Try every mergeable pair; merge the child of the pair.
-                // At least one pair is mergeable: were all pairs asserted
-                // distinct, the clash check in process_node would have
-                // fired before quiescence.
-                let mut tried = false;
-                for (i, &a) in neighbors.iter().enumerate() {
-                    for &b in neighbors[i + 1..].iter() {
-                        if self.nodes[a as usize].distinct.binary_search(&b).is_ok() {
-                            // This pair is ruled out by a distinctness
-                            // assertion: the refutation rests on it too.
-                            acc |= self.distinct_dep(a, b);
-                            continue;
-                        }
-                        // At most one of a, b is via's parent; merge the
-                        // child into the other node.
-                        let (from, to) =
-                            if self.nodes[via as usize].parent == a { (b, a) } else { (a, b) };
-                        tried = true;
-                        let mark = self.mark();
-                        self.merge(via, from, to, base.with_bit(bit));
-                        if let Some(out) =
-                            self.explore_alternative(mark, level, bit, &mut acc, &mut limited)
-                        {
-                            return out;
-                        }
-                    }
-                }
-                self.level -= 1;
-                if !tried {
-                    // Defensive: all pairs distinct yet uncaught above.
-                    return SResult::Unsat(acc);
-                }
-                return if limited { SResult::Limit } else { SResult::Unsat(acc) };
+                return self.open_choice(base, Alternatives::Merge { via, neighbors, i: 0, j: 1 });
             }
 
             // Generating rules on unblocked nodes.
             match self.apply_one_generator() {
                 Some(true) => {
                     if let Some(conflict) = self.clash {
-                        return SResult::Unsat(conflict);
+                        return Some(SResult::Unsat(conflict));
                     }
                     continue;
                 }
-                None => return SResult::Limit,
+                None => return Some(SResult::Limit),
                 Some(false) => {}
             }
             if !self.spend() {
                 // Out of budget exactly at quiescence: certifying
                 // completeness costs the final unit, as in the original
                 // engine's per-iteration accounting.
-                return SResult::Limit;
+                return Some(SResult::Limit);
             }
 
             // No rule applies: complete and clash-free.
-            return SResult::Sat;
+            return Some(SResult::Sat);
         }
     }
 
@@ -1640,6 +1826,7 @@ impl Engine {
     /// blocking is not monotone.
     fn apply_one_generator(&mut self) -> Option<bool> {
         let mut scratch = std::mem::take(&mut self.scratch);
+        let mut blocking_known = false;
         for idx in 0..self.gen_agenda.len() {
             if self.gen_done[idx] {
                 continue;
@@ -1663,7 +1850,11 @@ impl Engine {
                         self.trail.push(Op::GenDone { idx: idx as u32 });
                         continue;
                     }
-                    if self.blocked(node) {
+                    if !blocking_known {
+                        self.compute_blocking();
+                        blocking_known = true;
+                    }
+                    if self.blocking.blocked[node as usize] {
                         continue;
                     }
                     self.scratch = scratch;
@@ -1677,12 +1868,6 @@ impl Engine {
                     return Some(true);
                 }
                 CKind::AtLeast(n, role) => {
-                    if n == 0 {
-                        // ≥0 R is ⊤; nothing to generate.
-                        self.gen_done[idx] = true;
-                        self.trail.push(Op::GenDone { idx: idx as u32 });
-                        continue;
-                    }
                     Self::collect_neighbors(&self.nodes, node, role, &mut scratch);
                     if scratch.len() >= n as usize
                         && self.has_n_pairwise_distinct(&scratch, n as usize)
@@ -1691,7 +1876,11 @@ impl Engine {
                         self.trail.push(Op::GenDone { idx: idx as u32 });
                         continue;
                     }
-                    if self.blocked(node) {
+                    if !blocking_known {
+                        self.compute_blocking();
+                        blocking_known = true;
+                    }
+                    if self.blocking.blocked[node as usize] {
                         continue;
                     }
                     self.scratch = scratch;
@@ -1774,6 +1963,30 @@ mod tests {
         assert_eq!(satisfiable_cx(&t, &b, &cx()), SearchOutcome::Sat);
     }
 
+    /// Thousands of open choice points cost heap, not stack: a search that
+    /// nests one `⊔` decision per residual GCI runs on a 256 KiB thread.
+    #[test]
+    fn deep_choice_stacks_need_no_call_stack() {
+        const LEVELS: u32 = 3_000;
+        let mut t = TBox::new();
+        for i in 0..LEVELS {
+            let a = Concept::Atomic(t.atom(format!("A{i}")));
+            let b = Concept::Atomic(t.atom(format!("B{i}")));
+            t.gci(Concept::Top, Concept::or([a, b]));
+        }
+        // The last choice's first alternative clashes, so the search also
+        // backtracks at the bottom of the stack.
+        let last = Concept::Atomic(t.atom(format!("A{}", LEVELS - 1)));
+        t.gci(last, Concept::Bottom);
+        let verdict = std::thread::Builder::new()
+            .stack_size(256 * 1024)
+            .spawn(move || satisfiable_cx(&t, &Concept::Top, &ExecCx::unlimited()))
+            .expect("spawn")
+            .join()
+            .expect("the search overflowed its stack");
+        assert_eq!(verdict, SearchOutcome::Sat);
+    }
+
     /// `choice_bit` is monotone over precise levels and saturates at 63;
     /// level 1 (the first real decision) owns bit 0.
     #[test]
@@ -1809,6 +2022,36 @@ mod tests {
         assert!(!w.confirms_gci(&a, &fresh));
         // `⊤ ⊑ Fresh` likewise.
         assert!(!w.confirms_gci(&Concept::Top, &fresh));
+    }
+
+    /// A node with no `R`-neighbour satisfies every `∀R.C`, so a witness
+    /// confirms role exclusions and `∃R.⊤ ⊑ D` additions where `R` is not
+    /// played — and only there.
+    #[test]
+    fn witness_takes_universals_as_vacuous_without_neighbours() {
+        let mut t = TBox::new();
+        let a = Concept::Atomic(t.atom("A"));
+        let b = Concept::Atomic(t.atom("B"));
+        let r = RoleExpr::direct(t.role("R"));
+        let s = RoleExpr::direct(t.role("S"));
+        t.gci(Concept::some(r), a.clone());
+        t.gci(Concept::and([a.clone(), b.clone()]), Concept::Bottom);
+        let exclusion = Concept::and([Concept::some(r), Concept::some(s)]);
+        // B plays no role at all.
+        let (_, w) = satisfiable_with_witness_cx(&t, &b, &cx());
+        let mut w = w.expect("B is satisfiable");
+        assert!(w.confirms_gci(&exclusion, &Concept::Bottom));
+        assert!(w.confirms_gci(&Concept::some(r), &b));
+        // A ⊓ ∃R.⊤ has an R-successor: nothing about R is vacuous there.
+        let query = Concept::and([a.clone(), Concept::some(r)]);
+        let (_, w) = satisfiable_with_witness_cx(&t, &query, &cx());
+        let mut w = w.expect("A ⊓ ∃R.⊤ is satisfiable");
+        assert!(w.confirms_gci(&exclusion, &Concept::Bottom), "no node has an S-neighbour");
+        assert!(!w.confirms_gci(&Concept::some(r), &b));
+        // A witness rebuilt from a snapshot keeps its neighbour roles.
+        let mut restored = Witness::from_snapshot_parts(w.snapshot_parts());
+        assert!(restored.confirms_gci(&exclusion, &Concept::Bottom));
+        assert!(!restored.confirms_gci(&Concept::some(r), &b));
     }
 
     #[test]

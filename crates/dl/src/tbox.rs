@@ -7,6 +7,7 @@
 //! index these bitsets instead of re-walking the inclusion list on every
 //! call, which [`TBox::super_roles`] / [`TBox::is_subrole`] do.
 
+use crate::absorb::Absorbed;
 use crate::arena::{role_expr_id, RoleExprId};
 use crate::concept::{AtomId, Concept, RoleExpr, RoleNameId};
 use parking_lot::Mutex;
@@ -167,6 +168,9 @@ pub struct TBox {
     /// when the log has grown; shared by `Arc` so repeated
     /// satisfiability calls stop cloning every GCI).
     internal_memo: Mutex<Option<(u64, Arc<Concept>)>>,
+    /// The absorbed rule set, memoized per revision like
+    /// `internal_memo` (built by the first proof, never by a mutation).
+    absorbed_memo: Mutex<Option<(u64, Arc<Absorbed>)>>,
 }
 
 fn next_tbox_uid() -> u64 {
@@ -188,6 +192,7 @@ impl Default for TBox {
             uid: next_tbox_uid(),
             log: Vec::new(),
             internal_memo: Mutex::new(None),
+            absorbed_memo: Mutex::new(None),
         }
     }
 }
@@ -208,6 +213,7 @@ impl Clone for TBox {
             uid: next_tbox_uid(),
             log: self.log.clone(),
             internal_memo: Mutex::new(self.internal_memo.lock().clone()),
+            absorbed_memo: Mutex::new(self.absorbed_memo.lock().clone()),
         }
     }
 }
@@ -484,7 +490,9 @@ impl TBox {
     }
 
     /// The internalized TBox concept `⊓ (¬Cᵢ ⊔ Dᵢ)`, which must hold at
-    /// every node of a tableau.
+    /// every node of a tableau. The reference engine ([`crate::classic`])
+    /// seeds it into every label; the trail engine absorbs the GCIs
+    /// instead ([`TBox::absorbed`]).
     ///
     /// Memoized per revision: the concept is built (one `implies` clone
     /// per GCI) the first time a revision is asked for and then shared by
@@ -505,6 +513,26 @@ impl TBox {
                 .map(|(c, d)| Concept::implies(c.clone(), d.clone()))
                 .collect::<Vec<_>>(),
         ));
+        *memo = Some((revision, Arc::clone(&built)));
+        built
+    }
+
+    /// The TBox compiled into the trail engine's absorbed rules (see
+    /// [`crate::absorb`]): lazy unfolding, told disjointness and
+    /// domain/range rules, plus the internalized residue.
+    ///
+    /// Memoized per revision like [`TBox::internalized`] and built by the
+    /// first proof that asks — mutators never build it, so an edit pays
+    /// nothing for it.
+    pub fn absorbed(&self) -> Arc<Absorbed> {
+        let revision = self.revision();
+        let mut memo = self.absorbed_memo.lock();
+        if let Some((rev, absorbed)) = memo.as_ref() {
+            if *rev == revision {
+                return Arc::clone(absorbed);
+            }
+        }
+        let built = Arc::new(Absorbed::compile(self));
         *memo = Some((revision, Arc::clone(&built)));
         built
     }

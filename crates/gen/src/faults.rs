@@ -307,10 +307,12 @@ impl<'a> FragmentWriter<'a> {
     }
 }
 
-/// Run a builder step against a scratch builder that wraps a clone of the
-/// schema, then replace the schema with the enlarged clone.
+/// Run a builder step against the schema, moved into a builder (an empty
+/// placeholder holds its place meanwhile), then move the enlarged schema
+/// back.
 fn splice_types<T>(schema: &mut Schema, add: impl FnOnce(&mut SchemaBuilder) -> T) -> T {
-    let mut builder = SchemaBuilder::from_schema(schema.clone());
+    let taken = std::mem::replace(schema, SchemaBuilder::new("").finish());
+    let mut builder = SchemaBuilder::from_schema(taken);
     let out = add(&mut builder);
     *schema = builder.finish();
     out

@@ -280,11 +280,11 @@ impl ReasonerService {
 
     /// Admit, derive the request's effective context, and run `f` under
     /// the read lock. The derived context keeps the caller's deadline,
-    /// cancellation token lineage ([`ExecCx::child`] — cancelling this
-    /// request leaves siblings running) and auto-cancel trigger, but
-    /// meters into the service-wide [`Meter`] and caps the step budget
-    /// at the admitted tier (the caller's own budget still applies if
-    /// tighter).
+    /// cancellation token and auto-cancel trigger ([`ExecCx::isolated`]
+    /// — a trigger that fires trips this request, not the caller's
+    /// token), but meters into the service-wide [`Meter`] and caps the
+    /// step budget at the admitted tier (the caller's own budget still
+    /// applies if tighter).
     fn run<R>(
         &self,
         cx: &ExecCx,
@@ -292,7 +292,7 @@ impl ReasonerService {
     ) -> Result<R, Overloaded> {
         let (permit, cap) = self.try_admit(cx)?;
         let budget = cx.steps().unwrap_or(u64::MAX).min(cap);
-        let run_cx = cx.child().with_meter(Arc::clone(&self.meter)).with_step_budget(budget);
+        let run_cx = cx.isolated().with_meter(Arc::clone(&self.meter)).with_step_budget(budget);
         let translation = self.read();
         let out = f(&translation, &run_cx);
         drop(translation);
@@ -446,17 +446,20 @@ mod tests {
 
     #[test]
     fn soft_overload_degrades_to_an_honest_unknown() {
-        let (schema, phd, _) = fig1();
+        // Person's Sat verdict needs two steps (one worklist pop, one
+        // completeness certificate); Phd's doom is found by lazy
+        // unfolding before the first step, so it would not starve.
+        let (schema, _, person) = fig1();
         let cfg = ServiceConfig { soft_inflight: 0, degraded_steps: 1, ..ServiceConfig::default() };
         let service = ReasonerService::new(&schema, cfg);
-        let verdict = service.check_type(phd, &ExecCx::unlimited()).unwrap();
+        let verdict = service.check_type(person, &ExecCx::unlimited()).unwrap();
         assert_eq!(verdict, SearchOutcome::BudgetExhausted, "degraded run wasn't honest");
         assert_eq!(service.meter().downgrades(), 1);
         assert_eq!(service.stats().downgrades, 1);
         // The degraded Unknown gates equally-starved retries (hit), but
         // never masks the richer truth: a fresh service at full budget
-        // proves Unsat — and so would this one once load drops.
-        let again = service.check_type(phd, &ExecCx::unlimited()).unwrap();
+        // proves Sat — and so would this one once load drops.
+        let again = service.check_type(person, &ExecCx::unlimited()).unwrap();
         assert_eq!(again, SearchOutcome::BudgetExhausted);
         assert_eq!(service.stats().hits, 1, "starved retry re-proved instead of hitting");
     }

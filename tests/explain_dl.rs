@@ -31,7 +31,7 @@
 //! unrestricted generator.
 
 use orm_dl::concept::{Concept, RoleExpr};
-use orm_dl::explain::{core_refutes_cx, explain_unsat_cx, with_deep_stack, Explanation};
+use orm_dl::explain::{core_refutes_cx, explain_unsat_cx, Explanation};
 use orm_dl::tableau::satisfiable_cx;
 use orm_dl::tbox::TBox;
 use orm_dl::{enumerate_mus_cx, ranked_repairs_cx, AxiomId, DlOutcome, MusEnumeration, SatCache};
@@ -48,11 +48,6 @@ const BUDGET: u64 = 150_000;
 const ENUM_BUDGET: u64 = 2_000_000;
 const ATOMS: usize = 4;
 const ROLES: usize = 2;
-
-// The direct `satisfiable_cx`-over-`restrict_to` calls below run on
-// `with_deep_stack` for the same reason `explain_unsat_cx` does internally:
-// weakened-TBox searches recurse one frame per decision level, which
-// overflows a default test-thread stack in debug builds.
 
 /// One random axiom over the fixed vocabulary (additions only — cores are
 /// about a TBox state, not an edit history).
@@ -146,7 +141,7 @@ proptest! {
         let (tbox, queries) = build(&axioms);
         let mut cache = SatCache::new();
         for query in &queries {
-            let plain = with_deep_stack(|| DlOutcome::from(satisfiable_cx(&tbox, query, &steps(BUDGET))));
+            let plain = DlOutcome::from(satisfiable_cx(&tbox, query, &steps(BUDGET)));
             let explanation = explain_unsat_cx(&tbox, query, &steps(BUDGET));
             prop_assert_eq!(explanation.verdict(), plain, "outcome diverged on {}", query);
             // The cached path classifies identically.
@@ -155,7 +150,7 @@ proptest! {
             let Explanation::Unsat(core) = explanation else { continue };
             // (a) The core alone refutes.
             prop_assert!(
-                with_deep_stack(|| core_refutes_cx(&tbox, &core, query, &steps(BUDGET))),
+                core_refutes_cx(&tbox, &core, query, &steps(BUDGET)),
                 "core {:?} does not refute {}", core, query
             );
             // (b) Minimality: dropping any single axiom restores a model.
@@ -164,7 +159,7 @@ proptest! {
                 let mut weakened = core.axioms.clone();
                 let removed = weakened.remove(i);
                 let verdict =
-                    with_deep_stack(|| DlOutcome::from(satisfiable_cx(&tbox.restrict_to(&weakened), query, &steps(BUDGET))));
+                    DlOutcome::from(satisfiable_cx(&tbox.restrict_to(&weakened), query, &steps(BUDGET)));
                 prop_assert_eq!(
                     verdict, DlOutcome::Sat,
                     "core for {} is not minimal: still {:?} without {}",
@@ -185,13 +180,13 @@ proptest! {
         let schema = generate(&GenConfig::small(seed));
         let t = orm_dl::translate(&schema);
         for (ty, _) in schema.object_types() {
-            let plain = with_deep_stack(|| DlOutcome::from(t.type_satisfiable_cx(ty, &steps(BUDGET))));
+            let plain = DlOutcome::from(t.type_satisfiable_cx(ty, &steps(BUDGET)));
             let explanation = t.explain_type_cx(ty, &steps(BUDGET));
             prop_assert_eq!(explanation.verdict(), plain);
             if let Explanation::Unsat(core) = explanation {
-                prop_assert!(with_deep_stack(|| core_refutes_cx(
+                prop_assert!(core_refutes_cx(
                     &t.tbox, &core, &t.type_concept(ty), &steps(BUDGET)
-                )));
+                ));
                 prop_assert!(!core.is_empty(), "a named type needs at least one axiom to clash");
                 for id in &core.axioms {
                     prop_assert!(t.axiom_origin(*id).is_some(), "axiom {} unattributed", id);
@@ -200,13 +195,13 @@ proptest! {
             }
         }
         for (role, _) in schema.roles() {
-            let plain = with_deep_stack(|| DlOutcome::from(t.role_satisfiable_cx(role, &steps(BUDGET))));
+            let plain = DlOutcome::from(t.role_satisfiable_cx(role, &steps(BUDGET)));
             let explanation = t.explain_role_cx(role, &steps(BUDGET));
             prop_assert_eq!(explanation.verdict(), plain);
             if let Explanation::Unsat(core) = explanation {
-                prop_assert!(with_deep_stack(|| core_refutes_cx(
+                prop_assert!(core_refutes_cx(
                     &t.tbox, &core, &t.role_concept(role), &steps(BUDGET)
-                )));
+                ));
                 prop_assert!(!t.core_origins(&core).is_empty());
             }
         }
@@ -243,9 +238,8 @@ fn brute_force_muses(tbox: &TBox, query: &Concept, budget: u64) -> Vec<Vec<Axiom
             .filter(|(i, _)| mask >> i & 1 == 1)
             .map(|(_, a)| a)
             .collect();
-        let verdict = with_deep_stack(|| {
-            DlOutcome::from(satisfiable_cx(&tbox.restrict_to(&subset), query, &steps(budget)))
-        });
+        let verdict =
+            { DlOutcome::from(satisfiable_cx(&tbox.restrict_to(&subset), query, &steps(budget))) };
         assert_ne!(verdict, DlOutcome::ResourceLimit, "oracle probe starved on {query}");
         if verdict == DlOutcome::Unsat {
             muses.push((mask, subset));
@@ -272,7 +266,7 @@ proptest! {
         let (tbox, queries) = build(&axioms);
         let mut cache = SatCache::new();
         for query in &queries {
-            let plain = with_deep_stack(|| DlOutcome::from(satisfiable_cx(&tbox, query, &steps(ENUM_BUDGET))));
+            let plain = DlOutcome::from(satisfiable_cx(&tbox, query, &steps(ENUM_BUDGET)));
             let enumeration = enumerate_mus_cx(&tbox, query, &steps(ENUM_BUDGET), usize::MAX);
             prop_assert_eq!(enumeration.verdict(), plain, "outcome diverged on {}", query);
             let cached = cache.enumerate_seeded_cx(&tbox, query, &steps(ENUM_BUDGET), usize::MAX, &[]);
@@ -283,7 +277,7 @@ proptest! {
             for (i, core) in family.cores.iter().enumerate() {
                 // Soundness: each core refutes alone.
                 prop_assert!(
-                    with_deep_stack(|| core_refutes_cx(&tbox, core, query, &steps(ENUM_BUDGET))),
+                    core_refutes_cx(&tbox, core, query, &steps(ENUM_BUDGET)),
                     "core {:?} does not refute {}", core, query
                 );
                 // Minimality: dropping any single axiom restores a model.
@@ -291,9 +285,7 @@ proptest! {
                 for j in 0..core.len() {
                     let mut weakened = core.axioms.clone();
                     let removed = weakened.remove(j);
-                    let verdict = with_deep_stack(
-                        || DlOutcome::from(satisfiable_cx(&tbox.restrict_to(&weakened), query, &steps(ENUM_BUDGET)))
-                    );
+                    let verdict = DlOutcome::from(satisfiable_cx(&tbox.restrict_to(&weakened), query, &steps(ENUM_BUDGET)));
                     prop_assert_eq!(
                         verdict, DlOutcome::Sat,
                         "family core for {} not minimal without {}", query, removed
@@ -354,7 +346,7 @@ proptest! {
                 let keep: Vec<AxiomId> =
                     all.iter().copied().filter(|a| !repair.axioms.contains(a)).collect();
                 let verdict =
-                    with_deep_stack(|| DlOutcome::from(satisfiable_cx(&tbox.restrict_to(&keep), query, &steps(ENUM_BUDGET))));
+                    DlOutcome::from(satisfiable_cx(&tbox.restrict_to(&keep), query, &steps(ENUM_BUDGET)));
                 prop_assert_eq!(verdict, DlOutcome::Sat, "repair {:?} does not fix {}", repair, query);
                 // No proper subset is a repair: dropping any one axiom
                 // from the repair leaves some enumerated core intact, so
@@ -366,7 +358,7 @@ proptest! {
                         .filter(|a| a == skip || !repair.axioms.contains(a))
                         .collect();
                     let verdict =
-                        with_deep_stack(|| DlOutcome::from(satisfiable_cx(&tbox.restrict_to(&keep), query, &steps(ENUM_BUDGET))));
+                        DlOutcome::from(satisfiable_cx(&tbox.restrict_to(&keep), query, &steps(ENUM_BUDGET)));
                     prop_assert_eq!(
                         verdict, DlOutcome::Unsat,
                         "proper subset of {:?} (without {}) already repairs {}", repair, skip, query
@@ -418,7 +410,7 @@ proptest! {
         let schema = generate(&GenConfig::small(seed));
         let t = orm_dl::translate(&schema);
         for (ty, _) in schema.object_types() {
-            let plain = with_deep_stack(|| DlOutcome::from(t.type_satisfiable_cx(ty, &steps(ENUM_BUDGET))));
+            let plain = DlOutcome::from(t.type_satisfiable_cx(ty, &steps(ENUM_BUDGET)));
             let enumeration = t.enumerate_type_cx(ty, &steps(ENUM_BUDGET), 8);
             prop_assert_eq!(enumeration.verdict(), plain);
             // The cached route replays the identical family.
@@ -426,7 +418,7 @@ proptest! {
             let MusEnumeration::Unsat(family) = enumeration else { continue };
             let query = t.type_concept(ty);
             for core in &family.cores {
-                prop_assert!(with_deep_stack(|| core_refutes_cx(&t.tbox, core, &query, &steps(ENUM_BUDGET))));
+                prop_assert!(core_refutes_cx(&t.tbox, core, &query, &steps(ENUM_BUDGET)));
                 prop_assert!(!t.core_origins(core).is_empty());
             }
             for repair in t.repairs_for_cx(&query, &steps(ENUM_BUDGET), &family) {
