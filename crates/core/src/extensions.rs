@@ -11,7 +11,9 @@
 //!   irreflexivity needs at least two distinct player values;
 //! * **E3** — *unsatisfiability propagation* ([`propagate`]): closing the
 //!   set of doomed roles/types under the structural consequences of
-//!   emptiness, so one root cause surfaces all its downstream victims;
+//!   emptiness, so one root cause surfaces all its downstream victims. The
+//!   closure itself is [`crate::doom::close`], which the saturation engine
+//!   in `orm_dl` shares;
 //! * **E4** — a subset or equality constraint whose argument roles are
 //!   played by types that can never share instances (no common supertype —
 //!   ORM's implicit type exclusion): the ⊆-smaller population is forced
@@ -20,12 +22,11 @@
 //!   surfaced it (see EXPERIMENTS.md).
 
 use crate::diagnostics::{CheckCode, Finding, Severity};
+use crate::doom::close;
 use crate::patterns::{effective_value_cardinality, Check, Trigger};
+use crate::ring::ctl::Unbounded;
 use crate::ring::euler::implied_closure;
-use crate::setpath::{Node, SetPathGraph};
-use orm_model::{
-    Constraint, ConstraintKind, Element, ObjectTypeId, RingKind, RoleId, Schema, SchemaIndex,
-};
+use orm_model::{ConstraintKind, Element, ObjectTypeId, RingKind, RoleId, Schema, SchemaIndex};
 use std::collections::BTreeSet;
 
 /// E1: a type whose (effective) value constraint admits no values.
@@ -147,7 +148,8 @@ impl Check for E2 {
 
 /// E4: subset/equality constraints whose corresponding argument roles have
 /// players that can never overlap (implicit type exclusion): the sub side
-/// (both sides, for equality) can never be populated.
+/// (both sides, for equality) can never be populated. An equality compares
+/// every pair of its arguments, since overlap is not transitive.
 pub struct E4;
 
 impl Check for E4 {
@@ -165,7 +167,13 @@ impl Check for E4 {
             let orm_model::Constraint::SetComparison(sc) = c else { continue };
             let (pairs, both_sides_die): (Vec<(usize, usize)>, bool) = match sc.kind {
                 SetComparisonKind::Subset => (vec![(0, 1)], false),
-                SetComparisonKind::Equality => ((1..sc.args.len()).map(|j| (0, j)).collect(), true),
+                // Equal populations pairwise: any two arguments may clash.
+                SetComparisonKind::Equality => (
+                    (0..sc.args.len())
+                        .flat_map(|i| (i + 1..sc.args.len()).map(move |j| (i, j)))
+                        .collect(),
+                    true,
+                ),
                 SetComparisonKind::Exclusion => continue,
             };
             for (i, j) in pairs {
@@ -282,94 +290,27 @@ impl Check for E5 {
     }
 }
 
-/// E3: close the unsatisfiable roles/types reported by earlier findings
-/// under structural consequences:
-///
-/// * a subtype of an empty type is empty;
-/// * a role played by an empty type is empty;
-/// * the co-role of an empty role is empty (a binary fact table with one
-///   empty column is empty);
-/// * a type whose simple-mandatory role is empty is empty; likewise when
-///   *all* roles of a disjunctive mandatory constraint are empty;
-/// * a role with a subset/equality path **into** an empty role is empty;
-/// * a supertype totally covered by empty subtypes is empty.
+/// E3: the roles and types the doom closure ([`crate::doom::close`]) adds
+/// to the unsatisfiable roles/types of `seed` — the structural consequences
+/// of emptiness listed there (subtypes, played roles and co-roles of empty
+/// elements, all-empty mandatory alternatives and totality coverings,
+/// subset/equality paths into empty roles).
 ///
 /// Run by the validator after all other enabled checks; the returned
-/// findings carry code [`CheckCode::E3`].
+/// finding carries code [`CheckCode::E3`]. The saturation engine in
+/// `orm_dl` refutes with the same closure.
 pub fn propagate(schema: &Schema, idx: &SchemaIndex, seed: &[Finding]) -> Vec<Finding> {
-    let mut dead_roles: BTreeSet<RoleId> = BTreeSet::new();
-    let mut dead_types: BTreeSet<ObjectTypeId> = BTreeSet::new();
-    for f in seed {
-        if f.severity == Severity::Unsatisfiable {
-            dead_roles.extend(f.unsat_roles.iter().copied());
-            dead_types.extend(f.unsat_types.iter().copied());
-        }
+    let doom =
+        close(schema, idx, seed, &mut Unbounded).expect("Unbounded control never interrupts");
+    let mut seeded: BTreeSet<Element> = BTreeSet::new();
+    for f in seed.iter().filter(|f| f.severity == Severity::Unsatisfiable) {
+        seeded.extend(f.unsat_roles.iter().map(|r| Element::Role(*r)));
+        seeded.extend(f.unsat_types.iter().map(|t| Element::ObjectType(*t)));
     }
-    if dead_roles.is_empty() && dead_types.is_empty() {
-        return Vec::new();
-    }
-    let seed_roles = dead_roles.clone();
-    let seed_types = dead_types.clone();
-
-    let graph = SetPathGraph::build(schema, None);
-    // Reverse set-path edges are needed ("X ⊆ dead ⇒ X dead"); query
-    // per-candidate with the forward graph instead of materializing a
-    // reverse graph — schemas are small relative to the fixpoint loop.
-    let all_roles: Vec<RoleId> = schema.roles().map(|(id, _)| id).collect();
-
-    loop {
-        let mut changed = false;
-
-        // Subtypes and played roles of dead types.
-        for &t in dead_types.clone().iter() {
-            for sub in idx.subs(t) {
-                changed |= dead_types.insert(*sub);
-            }
-            for r in &idx.roles_of_type[t.index()] {
-                changed |= dead_roles.insert(*r);
-            }
-        }
-
-        // Co-roles of dead roles.
-        for &r in dead_roles.clone().iter() {
-            changed |= dead_roles.insert(schema.co_role(r));
-        }
-
-        // Mandatory constraints with all roles dead doom the player.
-        for (_, c) in schema.constraints() {
-            if let Constraint::Mandatory(m) = c {
-                if m.roles.iter().all(|r| dead_roles.contains(r)) {
-                    changed |= dead_types.insert(schema.player(m.roles[0]));
-                }
-            }
-            if let Constraint::TotalSubtypes(t) = c {
-                if t.subtypes.iter().all(|s| dead_types.contains(s)) {
-                    changed |= dead_types.insert(t.supertype);
-                }
-            }
-        }
-
-        // Roles with a set-path into a dead role.
-        for &candidate in &all_roles {
-            if dead_roles.contains(&candidate) {
-                continue;
-            }
-            let reaches_dead = dead_roles
-                .iter()
-                .any(|dead| graph.path(&Node::Role(candidate), &Node::Role(*dead)).is_some());
-            if reaches_dead {
-                dead_roles.insert(candidate);
-                changed = true;
-            }
-        }
-
-        if !changed {
-            break;
-        }
-    }
-
-    let new_roles: Vec<RoleId> = dead_roles.difference(&seed_roles).copied().collect();
-    let new_types: Vec<ObjectTypeId> = dead_types.difference(&seed_types).copied().collect();
+    let new_roles: Vec<RoleId> =
+        doom.roles().filter(|r| !seeded.contains(&Element::Role(*r))).collect();
+    let new_types: Vec<ObjectTypeId> =
+        doom.types().filter(|t| !seeded.contains(&Element::ObjectType(*t))).collect();
     if new_roles.is_empty() && new_types.is_empty() {
         return Vec::new();
     }

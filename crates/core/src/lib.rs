@@ -14,6 +14,9 @@
 //!   the unsat-relevance classification of §3 ([`formation`], [`ridl`]);
 //! * the **extension checks** sketched in §5, including unsatisfiability
 //!   propagation ([`extensions`]);
+//! * the **doom rule set** ([`doom`]): the unsat-relevant checks' findings
+//!   closed under propagation, with provenance — the one implementation
+//!   both the validator's E3 and `orm_dl`'s saturation engine use;
 //! * a configurable [`Validator`] reproducing DogmaModeler's per-pattern
 //!   settings (§4, Fig. 15), with revision caching and an incremental mode
 //!   for interactive modeling;
@@ -61,6 +64,7 @@
 #![warn(missing_docs)]
 
 pub mod diagnostics;
+pub mod doom;
 pub mod extensions;
 pub mod fixtures;
 pub mod formation;

@@ -15,18 +15,17 @@ use orm_model::{ConstraintKind, Schema};
 use parking_lot::Mutex;
 use std::collections::BTreeSet;
 
-/// Which checks run, and whether consequence propagation (E3) follows.
+/// Which checks run. Enabling [`CheckCode::E3`] runs consequence
+/// propagation ([`propagate`]) over the other checks' findings.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ValidatorSettings {
     enabled: BTreeSet<CheckCode>,
-    /// Run [`propagate`] over the unsatisfiable findings (extension E3).
-    pub propagate: bool,
 }
 
 impl Default for ValidatorSettings {
     /// The paper's default: the nine patterns, no lints, no propagation.
     fn default() -> Self {
-        ValidatorSettings { enabled: CheckCode::PATTERNS.into_iter().collect(), propagate: false }
+        ValidatorSettings { enabled: CheckCode::PATTERNS.into_iter().collect() }
     }
 }
 
@@ -39,20 +38,19 @@ impl ValidatorSettings {
     /// Everything: patterns, formation rules, RIDL lints, extensions,
     /// propagation.
     pub fn all() -> Self {
-        ValidatorSettings { enabled: CheckCode::all().collect(), propagate: true }
+        ValidatorSettings { enabled: CheckCode::all().collect() }
     }
 
     /// Formation-rule and RIDL lints only.
     pub fn lints_only() -> Self {
         ValidatorSettings {
             enabled: CheckCode::FORMATION_RULES.into_iter().chain(CheckCode::RIDL_RULES).collect(),
-            propagate: false,
         }
     }
 
     /// No checks at all (build up with [`ValidatorSettings::with`]).
     pub fn none() -> Self {
-        ValidatorSettings { enabled: BTreeSet::new(), propagate: false }
+        ValidatorSettings { enabled: BTreeSet::new() }
     }
 
     /// Enable a check.
@@ -68,9 +66,8 @@ impl ValidatorSettings {
     }
 
     /// Enable propagation (E3).
-    pub fn with_propagation(mut self) -> Self {
-        self.propagate = true;
-        self
+    pub fn with_propagation(self) -> Self {
+        self.with(CheckCode::E3)
     }
 
     /// Whether a check is enabled.
@@ -126,14 +123,7 @@ impl Validator {
 
     /// Validator with explicit settings.
     pub fn with_settings(settings: ValidatorSettings) -> Self {
-        let mut checks: Vec<Box<dyn Check>> = Vec::new();
-        checks.extend(paper_patterns());
-        checks.extend(formation_rules());
-        checks.extend(ridl_rules());
-        checks.push(Box::new(E1));
-        checks.push(Box::new(E2));
-        checks.push(Box::new(E4));
-        checks.push(Box::new(E5));
+        let mut checks = checks();
         checks.retain(|c| settings.is_enabled(c.code()));
         Validator { settings, checks, cache: Mutex::new(None) }
     }
@@ -162,7 +152,7 @@ impl Validator {
         for check in &self.checks {
             check.run(schema, &idx, &mut findings);
         }
-        if self.settings.propagate {
+        if self.settings.is_enabled(CheckCode::E3) {
             let extra = propagate(schema, &idx, &findings);
             findings.extend(extra);
         }
@@ -199,7 +189,7 @@ impl Validator {
             }
         }
         sort_findings(&mut findings);
-        if self.settings.propagate {
+        if self.settings.is_enabled(CheckCode::E3) {
             let extra = propagate(schema, &idx, &findings);
             findings.extend(extra);
         }
@@ -213,6 +203,21 @@ impl Default for Validator {
     fn default() -> Self {
         Self::new()
     }
+}
+
+/// Every check object, in report order: the nine patterns, the formation
+/// rules, the RIDL rules, then E1, E2, E4 and E5. E3 is no check object: it
+/// closes over the others' findings.
+pub(crate) fn checks() -> Vec<Box<dyn Check>> {
+    let mut checks: Vec<Box<dyn Check>> = Vec::new();
+    checks.extend(paper_patterns());
+    checks.extend(formation_rules());
+    checks.extend(ridl_rules());
+    checks.push(Box::new(E1));
+    checks.push(Box::new(E2));
+    checks.push(Box::new(E4));
+    checks.push(Box::new(E5));
+    checks
 }
 
 fn sort_findings(findings: &mut [Finding]) {
@@ -258,7 +263,7 @@ mod tests {
         for code in CheckCode::FORMATION_RULES {
             assert!(!s.is_enabled(code));
         }
-        assert!(!s.propagate);
+        assert!(!s.is_enabled(CheckCode::E3));
     }
 
     #[test]

@@ -59,10 +59,12 @@
 //!   ([`SaturationEngine`]) that saturates a small candidate graph to
 //!   fixpoint under ring/value/frequency semantics, certifies every `Sat`
 //!   witness with the population checker
-//!   ([`orm_model::population::check_indexed`]), and attributes
-//!   every `Unsat` to refuting [`NonDlOrigin`]s — flagging the verdicts
-//!   the DL translation could not have produced (`beyond_dl`); verdicts
-//!   are memoized in revision-stamped [`SaturationShards`];
+//!   ([`orm_model::population::check_indexed`]), and refutes with
+//!   `orm_core`'s doom rule set ([`orm_core::doom`]: the paper's pattern
+//!   checks closed under E3's propagation), attributing every `Unsat` to
+//!   the seed findings it follows from and flagging the verdicts the DL
+//!   translation could not have produced ([`Refutation::beyond_dl`]);
+//!   verdicts are memoized in revision-stamped [`SaturationShards`];
 //! * [`orm_to_dl`] — the schema translation, recording an
 //!   [`AxiomOrigin`] per emitted axiom so unsat cores map back to the
 //!   ORM constructs that caused them ([`Translation::explain_unsat_cx`] /
@@ -117,7 +119,7 @@ pub use explain::{
 };
 pub use orm_to_dl::{translate, AxiomOrigin, EditSession, Translation};
 pub use saturation::{
-    NonDlOrigin, Refutation, SaturationCacheStats, SaturationEngine, SaturationOutcome,
+    CheckCode, Origin, Refutation, SaturationCacheStats, SaturationEngine, SaturationOutcome,
     SaturationShards, SaturationTarget,
 };
 pub use tableau::{

@@ -13,15 +13,15 @@
 //! The engine decides a query in one of two sound ways — and reports
 //! *honest ignorance* otherwise:
 //!
-//! * **Unsat** comes only from the doom analysis: a closed set of
-//!   refutation rules (ring-table incompatibility, acyclic-plus-mandatory
-//!   traps, value-cardinality starvation, frequency/uniqueness clashes,
-//!   exclusion/mandatory clashes, subtype cycles, …) plus a propagation
-//!   closure mirroring the paper's §3 propagation. Every refutation carries
-//!   [`NonDlOrigin`] provenance — the `AxiomOrigin`-style attribution for
-//!   constraints living outside the DL fragment — and a
-//!   [`Refutation::beyond_dl`] flag that is `true` exactly when the deciding
-//!   constraints are unmapped in the DL translation.
+//! * **Unsat** comes only from `orm_core`'s doom analysis
+//!   ([`orm_core::doom::analyze`]): the paper's unsat-relevant pattern and
+//!   extension checks are the seeds, closed under the same propagation the
+//!   validator's E3 reports ([`orm_core::doom::close`]). The engine holds
+//!   no refutation rule of its own. Every refutation names the seed
+//!   findings it follows from ([`Origin`]: the check code plus its culprit
+//!   elements) and carries a [`Refutation::beyond_dl`] flag that is `true`
+//!   exactly when a deciding check rests on a construct the DL translation
+//!   leaves unmapped.
 //! * **Sat** comes only from a fully constructed and *certified*
 //!   [`Population`]: the saturation loop seeds the target, discharges
 //!   mandatory/frequency/subset/totality obligations with ring-aware
@@ -36,9 +36,9 @@
 //!   surfaces as [`SaturationOutcome::BudgetExhausted`], and an interrupted
 //!   run surfaces as `Cancelled`/`DeadlineExceeded`, never as a verdict.
 //!
-//! Execution control threads the PR 8 [`ExecCx`] end to end: the engine
-//! adapts the context onto the `orm_core::ring::ctl` hook, so the reused
-//! ring-table searches, the doom analysis, the saturation loop and the
+//! Execution control threads the [`ExecCx`] end to end: the engine adapts
+//! the context onto the `orm_core::ring::ctl` hook, so the doom analysis
+//! (ring-table searches included), the saturation loop and the
 //! certification all charge the same meter and observe the same budget,
 //! deadline and cancellation token. Decided verdicts are cached in
 //! [`SaturationShards`] — sharded, stamped with [`Schema::revision`], and
@@ -47,14 +47,13 @@
 
 use crate::exec::{ExecCx, Interrupt, CHECK_INTERVAL};
 use crate::tableau::SearchOutcome;
-use orm_core::effective_value_cardinality;
+use orm_core::doom::{self, Doom};
 use orm_core::ring::ctl::{RingCtl, RingInterrupt};
 use orm_core::ring::euler::implied_closure;
-use orm_core::ring::table::compatible_ctl;
 use orm_model::population::{check_indexed, CheckOptions, Population};
 use orm_model::{
-    Constraint, ConstraintId, FactTypeId, ObjectTypeId, RingKind, RingKinds, RoleId, Schema,
-    SchemaIndex, SetComparisonKind, Value, ValueConstraint,
+    Constraint, ConstraintId, Element, FactTypeId, ObjectTypeId, RingKind, RingKinds, RoleId,
+    Schema, SchemaIndex, SetComparisonKind, Value, ValueConstraint,
 };
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
@@ -126,155 +125,19 @@ fn interrupted(i: RingInterrupt) -> SaturationOutcome {
 }
 
 // ---------------------------------------------------------------------------
-// Provenance for refutations outside the DL fragment
+// Refutations
 // ---------------------------------------------------------------------------
 
-/// Why the saturation engine refuted a candidate — the `AxiomOrigin`-style
-/// provenance for constraints the DL translation cannot express (and for
-/// the DL-expressible dooms the analysis also closes over, so one verdict
-/// always names its causes).
-#[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord)]
-pub enum NonDlOrigin {
-    /// A ring constraint contributes to an incompatible kind combination
-    /// (Pattern 8 / Table 1).
-    Ring {
-        /// The contributing ring constraint.
-        constraint: ConstraintId,
-    },
-    /// An acyclic ring constraint traps a mandatory role whose co-player
-    /// cannot escape the player's subtree (Extension 5).
-    RingMandatory {
-        /// The acyclic ring constraint.
-        ring: ConstraintId,
-        /// The trapped mandatory constraint.
-        mandatory: ConstraintId,
-    },
-    /// The effective value-constraint intersection of a type is too small
-    /// (Extensions 1–2: empty, or a single value under an implied-irreflexive
-    /// ring).
-    ValueCardinality {
-        /// The type holding the binding value constraint.
-        ty: ObjectTypeId,
-    },
-    /// A single-role frequency constraint is unsatisfiable on its own
-    /// (inverted bounds).
-    Frequency {
-        /// The offending frequency constraint.
-        constraint: ConstraintId,
-    },
-    /// A spanning (two-role) frequency constraint can never be met: under
-    /// set semantics each whole tuple occurs exactly once, so any spanning
-    /// window other than exactly `1..1` starves or overflows. Spanning
-    /// frequencies are unmapped in the DL translation.
-    SpanningFrequency {
-        /// The spanning frequency constraint.
-        constraint: ConstraintId,
-    },
-    /// A frequency minimum exceeds the partner type's effective value
-    /// cardinality (Pattern 4).
-    FrequencyValue {
-        /// The frequency constraint demanding the partners.
-        frequency: ConstraintId,
-        /// The type whose value constraint starves them.
-        ty: ObjectTypeId,
-    },
-    /// A uniqueness constraint caps a column a frequency minimum wants
-    /// repeated (Pattern 7).
-    UniquenessFrequency {
-        /// The uniqueness constraint.
-        uniqueness: ConstraintId,
-        /// The conflicting frequency constraint.
-        frequency: ConstraintId,
-    },
-    /// An exclusion argument is forced into a mandatory sibling role
-    /// (Pattern 3).
-    ExclusionMandatory {
-        /// The exclusion constraint.
-        exclusion: ConstraintId,
-        /// The mandatory constraint on the super-side role.
-        mandatory: ConstraintId,
-    },
-    /// A subset argument is excluded from its own superset (Pattern 6).
-    SubsetExclusion {
-        /// The subset constraint.
-        subset: ConstraintId,
-        /// The exclusion constraint over the same roles.
-        exclusion: ConstraintId,
-    },
-    /// A set-comparison constraint spans players that may never share
-    /// instances (Extension 4).
-    SetIncompatible {
-        /// The set-comparison constraint.
-        constraint: ConstraintId,
-    },
-    /// Two supertypes of the element are implicitly mutually exclusive
-    /// (Pattern 1).
-    TypeExclusion {
-        /// First supertype.
-        a: ObjectTypeId,
-        /// Second supertype.
-        b: ObjectTypeId,
-    },
-    /// An explicit exclusive-types constraint covers two supertypes of the
-    /// element (Pattern 2).
-    ExclusiveTypes {
-        /// The exclusive-types constraint.
-        constraint: ConstraintId,
-    },
-    /// The type lies on a subtype cycle; ORM's proper-subtype semantics
-    /// (not expressible in the DL) forces its extent empty (Pattern 9).
-    SubtypeCycle {
-        /// A type on the cycle.
-        ty: ObjectTypeId,
-    },
-}
+/// The vocabulary of [`Refutation::origins`], from `orm_core`.
+pub use orm_core::{doom::Origin, CheckCode};
 
-impl NonDlOrigin {
-    /// The constraints this origin points at (empty for implicit clashes).
-    pub fn constraints(&self) -> Vec<ConstraintId> {
-        match self {
-            NonDlOrigin::Ring { constraint }
-            | NonDlOrigin::Frequency { constraint }
-            | NonDlOrigin::SpanningFrequency { constraint }
-            | NonDlOrigin::SetIncompatible { constraint }
-            | NonDlOrigin::ExclusiveTypes { constraint } => vec![*constraint],
-            NonDlOrigin::RingMandatory { ring, mandatory } => vec![*ring, *mandatory],
-            NonDlOrigin::FrequencyValue { frequency, .. } => vec![*frequency],
-            NonDlOrigin::UniquenessFrequency { uniqueness, frequency } => {
-                vec![*uniqueness, *frequency]
-            }
-            NonDlOrigin::ExclusionMandatory { exclusion, mandatory } => {
-                vec![*exclusion, *mandatory]
-            }
-            NonDlOrigin::SubsetExclusion { subset, exclusion } => vec![*subset, *exclusion],
-            NonDlOrigin::ValueCardinality { .. }
-            | NonDlOrigin::TypeExclusion { .. }
-            | NonDlOrigin::SubtypeCycle { .. } => Vec::new(),
-        }
-    }
-
-    /// Whether this origin involves a construct the DL translation reports
-    /// as unmapped (rings, value constraints, spanning frequencies,
-    /// proper-subtype cycle semantics).
-    pub fn beyond_dl(&self) -> bool {
-        matches!(
-            self,
-            NonDlOrigin::Ring { .. }
-                | NonDlOrigin::RingMandatory { .. }
-                | NonDlOrigin::ValueCardinality { .. }
-                | NonDlOrigin::FrequencyValue { .. }
-                | NonDlOrigin::SpanningFrequency { .. }
-                | NonDlOrigin::SubtypeCycle { .. }
-        )
-    }
-}
-
-/// A refuted candidate: which constraints killed it, and whether the
-/// argument needed constructs outside the DL fragment.
+/// A refuted target: the seed findings of `orm_core`'s doom analysis it
+/// follows from, and whether the argument needed constructs outside the DL
+/// fragment.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Refutation {
-    /// The refuting origins, deduplicated, in deterministic order.
-    pub origins: Vec<NonDlOrigin>,
+    /// The refuting origins, deduplicated, in check order.
+    pub origins: Vec<Origin>,
     /// `true` when at least one deciding origin is unmapped in the DL
     /// translation — i.e. the tableau alone could not have produced this
     /// `Unsat`.
@@ -282,13 +145,39 @@ pub struct Refutation {
 }
 
 impl Refutation {
+    fn new(schema: &Schema, mut origins: Vec<Origin>) -> Refutation {
+        origins.sort();
+        origins.dedup();
+        let beyond_dl = origins.iter().any(|o| beyond_dl(schema, o));
+        Refutation { origins, beyond_dl }
+    }
+
     /// All constraints named by the refutation's origins, deduplicated.
     pub fn constraints(&self) -> Vec<ConstraintId> {
         let mut out: Vec<ConstraintId> =
-            self.origins.iter().flat_map(|o| o.constraints()).collect();
+            self.origins.iter().flat_map(Origin::constraints).collect();
         out.sort();
         out.dedup();
         out
+    }
+}
+
+/// Whether `origin`'s check rests on a construct the DL translation reports
+/// as unmapped: value constraints (P4, E1, E2), ring constraints (P8, E2,
+/// E5), proper-subtype cycles (P9) and spanning frequencies (P7 on a
+/// frequency over both roles of its fact type).
+fn beyond_dl(schema: &Schema, origin: &Origin) -> bool {
+    match origin.code {
+        CheckCode::P4
+        | CheckCode::P8
+        | CheckCode::P9
+        | CheckCode::E1
+        | CheckCode::E2
+        | CheckCode::E5 => true,
+        CheckCode::P7 => origin.constraints().any(|c| {
+            matches!(schema.constraint(c), Some(Constraint::Frequency(f)) if f.roles.len() == 2)
+        }),
+        _ => false,
     }
 }
 
@@ -329,413 +218,6 @@ impl SaturationOutcome {
     /// Whether the outcome is a genuine verdict (`Sat` or `Unsat`).
     pub fn is_decided(&self) -> bool {
         matches!(self, SaturationOutcome::Sat(_) | SaturationOutcome::Unsat(_))
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Doom analysis (the Unsat side)
-// ---------------------------------------------------------------------------
-
-#[derive(Clone, Debug)]
-struct Doom {
-    origins: Vec<NonDlOrigin>,
-    beyond_dl: bool,
-}
-
-impl Doom {
-    fn new(origins: Vec<NonDlOrigin>) -> Doom {
-        let mut origins = origins;
-        origins.sort();
-        origins.dedup();
-        let beyond_dl = origins.iter().any(NonDlOrigin::beyond_dl);
-        Doom { origins, beyond_dl }
-    }
-
-    fn refutation(&self) -> Refutation {
-        Refutation { origins: self.origins.clone(), beyond_dl: self.beyond_dl }
-    }
-}
-
-#[derive(Debug, Default)]
-struct DoomAnalysis {
-    types: BTreeMap<ObjectTypeId, Doom>,
-    roles: BTreeMap<RoleId, Doom>,
-}
-
-impl DoomAnalysis {
-    fn doom_type(&mut self, ty: ObjectTypeId, doom: Doom) {
-        self.types.entry(ty).or_insert(doom);
-    }
-
-    fn doom_role(&mut self, role: RoleId, doom: Doom) {
-        self.roles.entry(role).or_insert(doom);
-    }
-}
-
-/// Run every seed doom rule, then the propagation closure. Sound: each rule
-/// is an argument that the element's population must be empty in every
-/// conforming population (set semantics, proper subtypes, implicit type
-/// exclusion — the defaults of `orm_population::check`).
-fn analyze(
-    schema: &Schema,
-    idx: &SchemaIndex,
-    ctl: &mut dyn RingCtl,
-) -> Result<DoomAnalysis, RingInterrupt> {
-    let mut doom = DoomAnalysis::default();
-
-    // --- type-level seeds -------------------------------------------------
-    for (ty, _) in schema.object_types() {
-        ctl.on_step(1)?;
-        // Pattern 9: subtype cycles are unsatisfiable under proper-subtype
-        // semantics (sub ⊆ sup both ways forces equality; proper forbids it).
-        if idx.on_subtype_cycle(ty) {
-            doom.doom_type(ty, Doom::new(vec![NonDlOrigin::SubtypeCycle { ty }]));
-            continue;
-        }
-        let closure = idx.supers_refl(ty);
-        // Pattern 1: two supertypes without a common ancestor are implicitly
-        // exclusive, so nothing can inhabit both.
-        let supers: Vec<ObjectTypeId> = closure.iter().copied().collect();
-        'clash: for (i, &a) in supers.iter().enumerate() {
-            for &b in supers.iter().skip(i + 1) {
-                ctl.on_step(1)?;
-                if !idx.may_overlap(a, b) {
-                    doom.doom_type(ty, Doom::new(vec![NonDlOrigin::TypeExclusion { a, b }]));
-                    break 'clash;
-                }
-            }
-        }
-        // Pattern 2: an explicit exclusive-types constraint covering two
-        // supertypes.
-        for (cid, c) in schema.constraints() {
-            if let Constraint::ExclusiveTypes(e) = c {
-                ctl.on_step(1)?;
-                let covered = e.types.iter().filter(|t| closure.contains(t)).count();
-                if covered >= 2 {
-                    doom.doom_type(
-                        ty,
-                        Doom::new(vec![NonDlOrigin::ExclusiveTypes { constraint: cid }]),
-                    );
-                }
-            }
-        }
-        // Extension 1: the effective value-constraint intersection along the
-        // supertype chain admits no value at all.
-        if let Some((0, holder)) = effective_value_cardinality(schema, idx, ty) {
-            doom.doom_type(ty, Doom::new(vec![NonDlOrigin::ValueCardinality { ty: holder }]));
-        }
-    }
-
-    // --- ring-fact seeds --------------------------------------------------
-    for (fact, kinds, cids) in idx.ring_kinds_by_fact(schema) {
-        ctl.on_step(1)?;
-        let ft = schema.fact_type(fact);
-        let (first, second) = (ft.first(), ft.second());
-        // Pattern 8: an incompatible kind combination admits only the empty
-        // relation.
-        if !compatible_ctl(kinds, ctl)? {
-            let origins: Vec<NonDlOrigin> =
-                cids.iter().map(|&constraint| NonDlOrigin::Ring { constraint }).collect();
-            doom.doom_role(first, Doom::new(origins.clone()));
-            doom.doom_role(second, Doom::new(origins));
-        }
-        let closure = implied_closure(kinds);
-        // Extension 2: an (implied-)irreflexive ring needs two distinct
-        // values, but a common ancestor's effective value cardinality caps
-        // both players below that.
-        if closure.contains(RingKind::Irreflexive) {
-            let (p0, p1) = (schema.player(first), schema.player(second));
-            let common: Vec<ObjectTypeId> =
-                idx.supers_refl(p0).intersection(&idx.supers_refl(p1)).copied().collect();
-            for c in common {
-                ctl.on_step(1)?;
-                if let Some((card, holder)) = effective_value_cardinality(schema, idx, c) {
-                    if card < 2 {
-                        let mut origins: Vec<NonDlOrigin> = cids
-                            .iter()
-                            .map(|&constraint| NonDlOrigin::Ring { constraint })
-                            .collect();
-                        origins.push(NonDlOrigin::ValueCardinality { ty: holder });
-                        doom.doom_role(first, Doom::new(origins.clone()));
-                        doom.doom_role(second, Doom::new(origins));
-                        break;
-                    }
-                }
-            }
-        }
-        // Extension 5: an acyclic ring with a mandatory role whose partner
-        // type cannot escape the player's subtree — every instance needs a
-        // successor inside the relation, so some cycle must close.
-        if kinds.contains(RingKind::Acyclic) {
-            let acyclic_cid = cids
-                .iter()
-                .copied()
-                .find(|&c| {
-                    matches!(schema.constraint(c), Some(Constraint::Ring(r)) if r.kinds.contains(RingKind::Acyclic))
-                })
-                .unwrap_or(cids[0]);
-            for role in [first, second] {
-                ctl.on_step(1)?;
-                let co = schema.co_role(role);
-                if let Some(mandatory) = idx.mandatory_on(role) {
-                    if idx.is_subtype_of_or_eq(schema.player(co), schema.player(role)) {
-                        let d = Doom::new(vec![NonDlOrigin::RingMandatory {
-                            ring: acyclic_cid,
-                            mandatory,
-                        }]);
-                        doom.doom_type(schema.player(role), d.clone());
-                        doom.doom_role(first, d.clone());
-                        doom.doom_role(second, d);
-                    }
-                }
-            }
-        }
-    }
-
-    // --- frequency seeds --------------------------------------------------
-    for (cid, f) in &idx.frequencies {
-        ctl.on_step(1)?;
-        let fact = schema.role(f.roles[0]).fact_type();
-        let ft = schema.fact_type(fact);
-        let inverted = f.max.is_some_and(|max| f.min > max);
-        // A spanning minimum above 1 (or inverted bounds) can never be met
-        // under set semantics: each tuple is its own group and occurs
-        // exactly once. Spanning frequencies are unmapped in the DL
-        // translation, so this doom is beyond the tableau's reach.
-        if f.roles.len() == 2 && (inverted || f.min > 1) {
-            let d = Doom::new(vec![NonDlOrigin::SpanningFrequency { constraint: *cid }]);
-            doom.doom_role(ft.first(), d.clone());
-            doom.doom_role(ft.second(), d);
-            continue;
-        }
-        // Inverted bounds on a single role are equally hopeless, but the DL
-        // translation does express them.
-        if inverted {
-            let d = Doom::new(vec![NonDlOrigin::Frequency { constraint: *cid }]);
-            doom.doom_role(ft.first(), d.clone());
-            doom.doom_role(ft.second(), d);
-            continue;
-        }
-        if f.roles.len() == 1 && f.min >= 2 {
-            let role = f.roles[0];
-            // Pattern 7: a uniqueness constraint on the same single role caps
-            // the column at one occurrence per value.
-            if let Some(&ucid) = idx.uniqueness_on(&[role]).first() {
-                let d = Doom::new(vec![NonDlOrigin::UniquenessFrequency {
-                    uniqueness: ucid,
-                    frequency: *cid,
-                }]);
-                doom.doom_role(ft.first(), d.clone());
-                doom.doom_role(ft.second(), d);
-            }
-            // Pattern 4: the partner type cannot supply `min` distinct
-            // values.
-            let co = schema.co_role(role);
-            if let Some((card, holder)) =
-                effective_value_cardinality(schema, idx, schema.player(co))
-            {
-                if card < u64::from(f.min) {
-                    let d = Doom::new(vec![NonDlOrigin::FrequencyValue {
-                        frequency: *cid,
-                        ty: holder,
-                    }]);
-                    doom.doom_role(ft.first(), d.clone());
-                    doom.doom_role(ft.second(), d);
-                }
-            }
-        }
-    }
-
-    // --- set-comparison seeds ---------------------------------------------
-    for (cid, c) in schema.constraints() {
-        let Constraint::SetComparison(sc) = c else { continue };
-        ctl.on_step(1)?;
-        match sc.kind {
-            SetComparisonKind::Exclusion if sc.over_single_roles() => {
-                // Pattern 3: an excluded role whose player is forced (by
-                // subtyping + a mandatory constraint) into the other column.
-                for a in &sc.args {
-                    for b in &sc.args {
-                        let (ra, rb) = (a.roles()[0], b.roles()[0]);
-                        if ra == rb {
-                            continue;
-                        }
-                        if let Some(mandatory) = idx.mandatory_on(rb) {
-                            if idx.is_subtype_of_or_eq(schema.player(ra), schema.player(rb)) {
-                                doom.doom_role(
-                                    ra,
-                                    Doom::new(vec![NonDlOrigin::ExclusionMandatory {
-                                        exclusion: cid,
-                                        mandatory,
-                                    }]),
-                                );
-                            }
-                        }
-                    }
-                }
-            }
-            SetComparisonKind::Subset | SetComparisonKind::Equality => {
-                // Extension 4: arguments whose positionwise players may never
-                // overlap force the sub side (both sides for equality) empty.
-                let pairs: Vec<(usize, usize)> = match sc.kind {
-                    SetComparisonKind::Subset => vec![(0, 1)],
-                    _ => (0..sc.args.len())
-                        .flat_map(|i| (i + 1..sc.args.len()).map(move |j| (i, j)))
-                        .collect(),
-                };
-                for (i, j) in pairs {
-                    let (a, b) = (&sc.args[i], &sc.args[j]);
-                    let incompatible =
-                        a.roles().iter().zip(b.roles()).any(|(ra, rb)| {
-                            !idx.may_overlap(schema.player(*ra), schema.player(*rb))
-                        });
-                    if incompatible {
-                        let d = Doom::new(vec![NonDlOrigin::SetIncompatible { constraint: cid }]);
-                        for r in a.roles() {
-                            doom.doom_role(*r, d.clone());
-                        }
-                        if sc.kind == SetComparisonKind::Equality {
-                            for r in b.roles() {
-                                doom.doom_role(*r, d.clone());
-                            }
-                        }
-                    }
-                }
-                // Pattern 6: a subset argument excluded from its own
-                // superset.
-                if sc.kind == SetComparisonKind::Subset && sc.over_single_roles() {
-                    let (sub, sup) = (sc.args[0].roles()[0], sc.args[1].roles()[0]);
-                    for (ecid, ec) in schema.constraints() {
-                        if let Constraint::SetComparison(e) = ec {
-                            if e.kind == SetComparisonKind::Exclusion
-                                && e.over_single_roles()
-                                && e.args.iter().any(|s| s.roles()[0] == sub)
-                                && e.args.iter().any(|s| s.roles()[0] == sup)
-                            {
-                                doom.doom_role(
-                                    sub,
-                                    Doom::new(vec![NonDlOrigin::SubsetExclusion {
-                                        subset: cid,
-                                        exclusion: ecid,
-                                    }]),
-                                );
-                            }
-                        }
-                    }
-                }
-            }
-            _ => {}
-        }
-    }
-
-    propagate(schema, idx, &mut doom, ctl)?;
-    Ok(doom)
-}
-
-/// The §3-style propagation closure: dead types kill their subtypes and
-/// roles, dead roles kill co-roles and subset feeders, all-dead mandatory
-/// alternatives kill the player, all-dead subtypes of a totality kill the
-/// supertype.
-fn propagate(
-    schema: &Schema,
-    idx: &SchemaIndex,
-    doom: &mut DoomAnalysis,
-    ctl: &mut dyn RingCtl,
-) -> Result<(), RingInterrupt> {
-    loop {
-        ctl.on_step(1)?;
-        let before = (doom.types.len(), doom.roles.len());
-
-        let dead_types: Vec<(ObjectTypeId, Doom)> =
-            doom.types.iter().map(|(t, d)| (*t, d.clone())).collect();
-        for (t, d) in dead_types {
-            // Subtypes inherit emptiness (their extents are subsets).
-            for sub in idx.subs(t).clone() {
-                doom.doom_type(sub, d.clone());
-            }
-            // Roles played by a dead type stay empty; so do their co-roles.
-            for &r in &idx.roles_of_type[t.index()] {
-                doom.doom_role(r, d.clone());
-            }
-        }
-
-        let dead_roles: Vec<(RoleId, Doom)> =
-            doom.roles.iter().map(|(r, d)| (*r, d.clone())).collect();
-        for (r, d) in &dead_roles {
-            // Tuples populate both columns at once.
-            doom.doom_role(schema.co_role(*r), d.clone());
-        }
-
-        for (_, c) in schema.constraints() {
-            ctl.on_step(1)?;
-            match c {
-                // A mandatory disjunction with every alternative dead kills
-                // the player.
-                Constraint::Mandatory(m) if m.roles.iter().all(|r| doom.roles.contains_key(r)) => {
-                    let mut origins = Vec::new();
-                    for r in &m.roles {
-                        origins.extend(doom.roles[r].origins.clone());
-                    }
-                    doom.doom_type(schema.player(m.roles[0]), Doom::new(origins));
-                }
-                // A totality whose subtypes are all dead kills the supertype.
-                Constraint::TotalSubtypes(t)
-                    if !t.subtypes.is_empty()
-                        && t.subtypes.iter().all(|s| doom.types.contains_key(s)) =>
-                {
-                    let mut origins = Vec::new();
-                    for s in &t.subtypes {
-                        origins.extend(doom.types[s].origins.clone());
-                    }
-                    doom.doom_type(t.supertype, Doom::new(origins));
-                }
-                // A subset/equality path into a dead role keeps the feeder
-                // empty too.
-                Constraint::SetComparison(sc) => match sc.kind {
-                    SetComparisonKind::Subset => {
-                        let (sub, sup) = (&sc.args[0], &sc.args[1]);
-                        if sup.roles().iter().any(|r| doom.roles.contains_key(r)) {
-                            let mut origins = Vec::new();
-                            for r in sup.roles() {
-                                if let Some(d) = doom.roles.get(r) {
-                                    origins.extend(d.origins.clone());
-                                }
-                            }
-                            let d = Doom::new(origins);
-                            for r in sub.roles() {
-                                doom.doom_role(*r, d.clone());
-                            }
-                        }
-                    }
-                    SetComparisonKind::Equality => {
-                        if let Some(dead) = sc
-                            .args
-                            .iter()
-                            .find(|a| a.roles().iter().any(|r| doom.roles.contains_key(r)))
-                        {
-                            let mut origins = Vec::new();
-                            for r in dead.roles() {
-                                if let Some(d) = doom.roles.get(r) {
-                                    origins.extend(d.origins.clone());
-                                }
-                            }
-                            let d = Doom::new(origins);
-                            for a in &sc.args {
-                                for r in a.roles() {
-                                    doom.doom_role(*r, d.clone());
-                                }
-                            }
-                        }
-                    }
-                    SetComparisonKind::Exclusion => {}
-                },
-                _ => {}
-            }
-        }
-
-        if (doom.types.len(), doom.roles.len()) == before {
-            return Ok(());
-        }
     }
 }
 
@@ -1379,7 +861,7 @@ impl SaturationShards {
 pub struct SaturationEngine<'s> {
     schema: &'s Schema,
     idx: SchemaIndex,
-    doom: OnceLock<DoomAnalysis>,
+    doom: OnceLock<Doom>,
     cache: Arc<SaturationShards>,
 }
 
@@ -1426,17 +908,17 @@ impl<'s> SaturationEngine<'s> {
         let doom = if let Some(d) = self.doom.get() {
             d
         } else {
-            match analyze(self.schema, &self.idx, &mut ctl) {
+            match doom::analyze(self.schema, &self.idx, &mut ctl) {
                 Ok(d) => self.doom.get_or_init(|| d),
                 Err(i) => return interrupted(i),
             }
         };
-        let doomed = match target {
-            SaturationTarget::Type(t) => doom.types.get(&t),
-            SaturationTarget::Role(r) => doom.roles.get(&r),
+        let element = match target {
+            SaturationTarget::Type(t) => Element::ObjectType(t),
+            SaturationTarget::Role(r) => Element::Role(r),
         };
-        if let Some(d) = doomed {
-            let refutation = d.refutation();
+        if let Some(origins) = doom.origins(element) {
+            let refutation = Refutation::new(self.schema, origins.cloned().collect());
             self.cache.record(target, Decided::Unsat(refutation.clone()));
             cx.note_proof();
             return SaturationOutcome::Unsat(refutation);
@@ -1574,7 +1056,7 @@ mod tests {
             panic!("expected Unsat, got {out:?}");
         };
         assert!(refutation.beyond_dl);
-        assert!(refutation.origins.iter().any(|o| matches!(o, NonDlOrigin::Ring { .. })));
+        assert!(refutation.origins.iter().any(|o| o.code == CheckCode::P8));
         assert!(!refutation.constraints().is_empty());
         // The type itself survives — only the roles are doomed.
         let ty = s.object_types().next().unwrap().0;
@@ -1616,7 +1098,7 @@ mod tests {
             panic!("expected Unsat, got {out:?}");
         };
         assert!(refutation.beyond_dl);
-        assert!(refutation.origins.iter().any(|o| matches!(o, NonDlOrigin::RingMandatory { .. })));
+        assert!(refutation.origins.iter().any(|o| o.code == CheckCode::E5));
     }
 
     #[test]

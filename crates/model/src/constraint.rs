@@ -7,7 +7,6 @@
 //! explanation messages of the paper's appendix algorithms.
 
 use crate::ids::{FactTypeId, ObjectTypeId, RoleId};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A sequence of roles used as an argument of a set-comparison constraint.
@@ -15,7 +14,7 @@ use std::fmt;
 /// In the binary setting of the paper a role sequence is either a **single
 /// role** (length 1) or a **whole predicate** (length 2, both roles of one
 /// fact type in order).
-#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct RoleSeq(pub Vec<RoleId>);
 
 impl RoleSeq {
@@ -75,7 +74,7 @@ impl From<RoleId> for RoleSeq {
 /// play this role". With several roles (all played by the same object type)
 /// it is a *disjunctive* mandatory constraint: every instance must play at
 /// least one of them.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Mandatory {
     /// The roles covered by the constraint; disjunctive when `len() > 1`.
     pub roles: Vec<RoleId>,
@@ -94,7 +93,7 @@ impl Mandatory {
 /// For a binary fact type the sequence is either one role ("each player
 /// appears at most once") or both roles (the implicit spanning uniqueness of
 /// set semantics).
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Uniqueness {
     /// The covered roles, all belonging to the same fact type.
     pub roles: Vec<RoleId>,
@@ -104,7 +103,7 @@ pub struct Uniqueness {
 ///
 /// Semantics (\[H89\]): every instance combination that *does* occur in the
 /// covered columns occurs between `min` and `max` times.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Frequency {
     /// The covered roles, all belonging to the same fact type.
     pub roles: Vec<RoleId>,
@@ -125,7 +124,7 @@ impl Frequency {
 }
 
 /// Which set-comparison relation a [`SetComparison`] asserts.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum SetComparisonKind {
     /// `args[0] ⊆ args[1]` (population of the first sequence is included in
     /// the second).
@@ -153,7 +152,7 @@ impl fmt::Display for SetComparisonKind {
 /// 2 = between whole predicates). A subset constraint has exactly two
 /// arguments, directed from `args[0]` (sub) to `args[1]` (super); equality
 /// and exclusion take two or more.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SetComparison {
     /// The relation asserted between the argument populations.
     pub kind: SetComparisonKind,
@@ -170,7 +169,7 @@ impl SetComparison {
 
 /// Exclusive constraint between object types: their populations must be
 /// pairwise disjoint (the ⊗ between `Student` and `Employee` in Fig. 1).
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ExclusiveTypes {
     /// The mutually exclusive object types.
     pub types: Vec<ObjectTypeId>,
@@ -181,7 +180,7 @@ pub struct ExclusiveTypes {
 ///
 /// Not itself one of the paper's nine pattern triggers, but needed to encode
 /// Fig. 14 (every `A` must be a `B` or a `C`) and common in real schemas.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct TotalSubtypes {
     /// The partitioned supertype.
     pub supertype: ObjectTypeId,
@@ -190,7 +189,7 @@ pub struct TotalSubtypes {
 }
 
 /// One of the six ring constraint kinds of ORM (\[H01\], Fig. 12 of the paper).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum RingKind {
     /// `¬r(x,x)`.
     Irreflexive,
@@ -238,7 +237,7 @@ impl fmt::Display for RingKind {
 }
 
 /// A set of [`RingKind`]s, stored as a tiny bitset.
-#[derive(Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct RingKinds(u8);
 
 impl RingKinds {
@@ -346,7 +345,7 @@ impl FromIterator<RingKind> for RingKinds {
 /// Ring constraint: a set of [`RingKind`]s applied to the two roles of a
 /// binary fact type whose players are compatible (same type or connected via
 /// supertypes).
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Ring {
     /// The constrained fact type (its two roles form the ring pair).
     pub fact_type: FactTypeId,
@@ -355,7 +354,7 @@ pub struct Ring {
 }
 
 /// Any ORM constraint, as stored in the schema's constraint arena.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Constraint {
     /// Mandatory (possibly disjunctive) role constraint.
     Mandatory(Mandatory),
@@ -374,7 +373,7 @@ pub enum Constraint {
 }
 
 /// Discriminant-only view of [`Constraint`], useful for filtering.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 #[allow(missing_docs)]
 pub enum ConstraintKind {
     Mandatory,

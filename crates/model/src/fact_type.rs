@@ -1,14 +1,13 @@
 //! Binary fact types and their roles.
 
 use crate::ids::{FactTypeId, ObjectTypeId, RoleId};
-use serde::{Deserialize, Serialize};
 
 /// A role: one "column" of a binary fact type, played by an object type.
 ///
 /// Roles are the unit the paper's patterns reason about — "the role r1 cannot
 /// be populated" — so they carry their own ids and optional diagram labels
 /// (`r1`, `r3`, …).
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Role {
     pub(crate) name: String,
     pub(crate) fact_type: FactTypeId,
@@ -41,7 +40,7 @@ impl Role {
 
 /// A binary fact type (predicate) relating two object types through two
 /// [`Role`]s.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct FactType {
     pub(crate) name: String,
     pub(crate) roles: [RoleId; 2],

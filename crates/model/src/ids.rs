@@ -6,15 +6,12 @@
 //! later ids, which lets diagnostics and interactive tools hold on to ids
 //! across edits.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 macro_rules! id_type {
     ($(#[$meta:meta])* $name:ident, $prefix:literal) => {
         $(#[$meta])*
-        #[derive(
-            Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-        )]
+        #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
         pub struct $name(pub(crate) u32);
 
         impl $name {

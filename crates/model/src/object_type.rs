@@ -1,14 +1,13 @@
 //! Object types (entity types and value types).
 
 use crate::value::ValueConstraint;
-use serde::{Deserialize, Serialize};
 
 /// Whether an object type is an entity type or a (lexical) value type.
 ///
 /// The distinction does not affect the unsatisfiability patterns themselves —
 /// the paper treats both uniformly — but it matters for verbalization and for
 /// which types may carry value constraints in idiomatic ORM diagrams.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum ObjectTypeKind {
     /// A non-lexical entity type such as `Person`.
     Entity,
@@ -18,7 +17,7 @@ pub enum ObjectTypeKind {
 }
 
 /// An object type: a named concept that can play roles in fact types.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ObjectType {
     pub(crate) name: String,
     pub(crate) kind: ObjectTypeKind,

@@ -9,11 +9,10 @@ use crate::index::SchemaIndex;
 use crate::object_type::ObjectType;
 use crate::subtype::SubtypeLink;
 use crate::value::ValueConstraint;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// Any addressable schema element; used as the *subject* of diagnostics.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Element {
     /// An object type.
     ObjectType(ObjectTypeId),
@@ -36,7 +35,7 @@ pub enum Element {
 /// what makes interactive validation loops (the paper's DogmaModeler
 /// scenario) possible. Every mutation bumps [`Schema::revision`], which
 /// validators use for cache invalidation.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Schema {
     pub(crate) name: String,
     pub(crate) object_types: Vec<ObjectType>,

@@ -10,10 +10,9 @@
 //! below the validator.
 
 use crate::ids::ObjectTypeId;
-use serde::{Deserialize, Serialize};
 
 /// A single subtype edge: `sub` is a (strict) subtype of `sup`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct SubtypeLink {
     /// The subtype.
     pub sub: ObjectTypeId,

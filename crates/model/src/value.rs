@@ -5,12 +5,11 @@
 //! *cardinality* — the number of possible values — is what Patterns 4 and 5
 //! compare against frequency-constraint lower bounds.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A concrete instance value, used both in value constraints and in
 /// populations (`orm-population`).
-#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Value {
     /// A string value such as `'x1'`.
     Str(String),
@@ -64,7 +63,7 @@ impl From<i64> for Value {
 }
 
 /// Restricts the possible instances of an object type.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ValueConstraint {
     /// An explicit enumeration, e.g. `{'x1', 'x2'}`.
     Enumeration(Vec<Value>),

@@ -125,14 +125,8 @@ proptest! {
         }
     }
 
-    /// Serde round trip: a schema survives JSON-free serialization via the
-    /// Debug-stable bincode-style format (here: serde_json is not a dep, so
-    /// use the `serde` impls through a Vec<u8> writer — postcard-style not
-    /// available; use serde's derive via `serde_test`-less manual check).
-    ///
-    /// We settle for: Clone produces an equal-by-structure schema whose
-    /// index behaves identically (serde wire-format testing lives in the
-    /// populations of the crates that persist schemas).
+    /// A cloned schema is equal by structure: its index answers every
+    /// supertype and subtype query exactly like the original's.
     #[test]
     fn clone_preserves_index_semantics(edges in edges_strategy(5)) {
         let schema = subtype_schema(5, &edges);

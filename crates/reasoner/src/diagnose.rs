@@ -31,10 +31,10 @@
 //! constraint is usually the mistake.
 
 use orm_dl::{
-    AxiomOrigin, ExecCx, MusEnumeration, MusFamily, NonDlOrigin, Refutation, RepairSet,
+    AxiomOrigin, CheckCode, ExecCx, MusEnumeration, MusFamily, Origin, Refutation, RepairSet,
     SaturationEngine, SaturationOutcome, SearchOutcome, Translation, UnsatCore,
 };
-use orm_model::{Constraint, ConstraintId, FactTypeId, ObjectTypeId, RingKinds, RoleId, Schema};
+use orm_model::{Constraint, Element, FactTypeId, ObjectTypeId, RingKinds, RoleId, Schema};
 use orm_syntax::{
     verbalize_constraint, verbalize_fact_typing, verbalize_implicit_exclusion,
     verbalize_repair_alternatives, verbalize_ring_declaration, verbalize_subtype,
@@ -306,86 +306,81 @@ impl std::fmt::Display for SaturationDiagnosis {
     }
 }
 
-/// Render a saturation refutation's origins as statements: ring origins
-/// are grouped per fact type into one declaration sentence; every other
-/// origin verbalizes the constraint(s) or implicit rule it names.
+/// Render a saturation refutation's origins as statements, one per
+/// culprit: the ring constraints of one fact type merge into a single
+/// declaration sentence (listed first), every other constraint, subtype
+/// link or value-constrained type verbalizes on its own, followed by the
+/// [`implicit_rule`] the origin's check relies on.
 fn saturation_statements(schema: &Schema, refutation: &Refutation) -> Vec<String> {
-    let ring_fact = |cid: ConstraintId| -> Option<(FactTypeId, RingKinds)> {
-        match schema.constraint(cid) {
-            Some(Constraint::Ring(r)) => Some((r.fact_type, r.kinds)),
-            _ => None,
-        }
-    };
     let mut ring_by_fact: BTreeMap<FactTypeId, RingKinds> = BTreeMap::new();
-    for origin in &refutation.origins {
-        let cids: Vec<ConstraintId> = match origin {
-            NonDlOrigin::Ring { constraint } => vec![*constraint],
-            NonDlOrigin::RingMandatory { ring, .. } => vec![*ring],
-            _ => continue,
-        };
-        for cid in cids {
-            if let Some((fact, kinds)) = ring_fact(cid) {
-                let entry = ring_by_fact.entry(fact).or_insert(RingKinds::EMPTY);
-                *entry = entry.union(kinds);
+    for e in refutation.origins.iter().flat_map(|o| &o.culprits) {
+        if let Element::Constraint(cid) = e {
+            if let Some(Constraint::Ring(r)) = schema.constraint(*cid) {
+                let entry = ring_by_fact.entry(r.fact_type).or_insert(RingKinds::EMPTY);
+                *entry = entry.union(r.kinds);
             }
         }
     }
-    let constraint_statement = |cid: ConstraintId| -> String {
-        match schema.constraint(cid) {
-            Some(c) => verbalize_constraint(schema, c),
-            None => format!("A since-removed constraint ({cid:?})."),
-        }
-    };
-    let value_statement = |ty: ObjectTypeId| -> String {
-        let ot = schema.object_type(ty);
-        match ot.value_constraint() {
-            Some(vc) => format!("The possible values of {} are {}.", ot.name(), vc),
-            None => format!("The effective value set of {} is too small.", ot.name()),
-        }
-    };
     let mut out: Vec<String> =
         ring_by_fact.iter().map(|(f, k)| verbalize_ring_declaration(schema, *f, *k)).collect();
     for origin in &refutation.origins {
-        match origin {
-            NonDlOrigin::Ring { .. } => {}
-            NonDlOrigin::RingMandatory { mandatory, .. } => {
-                out.push(constraint_statement(*mandatory));
+        for e in &origin.culprits {
+            match *e {
+                Element::Constraint(cid) => match schema.constraint(cid) {
+                    Some(Constraint::Ring(_)) => {}
+                    Some(c) => out.push(verbalize_constraint(schema, c)),
+                    None => out.push(format!("A since-removed constraint ({cid:?}).")),
+                },
+                Element::ObjectType(ty) => {
+                    let ot = schema.object_type(ty);
+                    out.push(match ot.value_constraint() {
+                        Some(vc) => format!("The possible values of {} are {}.", ot.name(), vc),
+                        None => format!("The effective value set of {} is too small.", ot.name()),
+                    });
+                }
+                Element::Subtype(sub, sup) => out.push(verbalize_subtype(schema, sub, sup)),
+                // No unsat-relevant check blames a bare role or fact type.
+                Element::Role(_) | Element::FactType(_) => {}
             }
-            NonDlOrigin::ValueCardinality { ty } => out.push(value_statement(*ty)),
-            NonDlOrigin::Frequency { constraint }
-            | NonDlOrigin::SpanningFrequency { constraint }
-            | NonDlOrigin::SetIncompatible { constraint }
-            | NonDlOrigin::ExclusiveTypes { constraint } => {
-                out.push(constraint_statement(*constraint));
-            }
-            NonDlOrigin::FrequencyValue { frequency, ty } => {
-                out.push(constraint_statement(*frequency));
-                out.push(value_statement(*ty));
-            }
-            NonDlOrigin::UniquenessFrequency { uniqueness, frequency } => {
-                out.push(constraint_statement(*uniqueness));
-                out.push(constraint_statement(*frequency));
-            }
-            NonDlOrigin::ExclusionMandatory { exclusion, mandatory } => {
-                out.push(constraint_statement(*exclusion));
-                out.push(constraint_statement(*mandatory));
-            }
-            NonDlOrigin::SubsetExclusion { subset, exclusion } => {
-                out.push(constraint_statement(*subset));
-                out.push(constraint_statement(*exclusion));
-            }
-            NonDlOrigin::TypeExclusion { a, b } => {
-                out.push(verbalize_implicit_exclusion(schema, *a, *b));
-            }
-            NonDlOrigin::SubtypeCycle { ty } => out.push(format!(
-                "{} sits on a subtype cycle, and subtypes are proper subsets.",
-                schema.object_type(*ty).name()
-            )),
         }
+        out.extend(implicit_rule(schema, origin));
     }
     let mut seen = std::collections::BTreeSet::new();
     out.retain(|s| seen.insert(s.clone()));
     out
+}
+
+/// The ORM rule behind a check that no schema element spells out: Pattern 1
+/// blames subtype links into supertypes that share no ancestor (implicit
+/// exclusion), Pattern 9 the links of a subtype loop (proper subtypes).
+fn implicit_rule(schema: &Schema, origin: &Origin) -> Option<String> {
+    match origin.code {
+        CheckCode::P1 => {
+            let supers: Vec<ObjectTypeId> = origin
+                .culprits
+                .iter()
+                .filter_map(|e| match e {
+                    Element::Subtype(_, sup) => Some(*sup),
+                    _ => None,
+                })
+                .collect();
+            Some(match supers[..] {
+                [a, b] => verbalize_implicit_exclusion(schema, a, b),
+                _ => {
+                    let names: Vec<&str> =
+                        supers.iter().map(|t| schema.object_type(*t).name()).collect();
+                    format!(
+                        "{} share no common supertype, so (implicitly) no instance is all of them.",
+                        names.join(", ")
+                    )
+                }
+            })
+        }
+        CheckCode::P9 => {
+            Some("Subtypes are proper subsets, so no type on a subtype loop is populated.".into())
+        }
+        _ => None,
+    }
 }
 
 /// Diagnose every element the **saturation engine** refutes, under `cx`:

@@ -20,14 +20,22 @@
 //! The cached query path (shared [`SaturationShards`]) and the parallel
 //! sweeps (`type_sweep_par` / `role_sweep_par` over `fan_out_cx`) are
 //! differentially pinned against the uncached sequential drivers.
+//!
+//! **One rule set.** The engine refutes with `orm_core`'s doom analysis, so
+//! on generated schemas, the paper's fixtures and the example schemas it
+//! refutes exactly what `validate_all` reports unsatisfiable, and every
+//! refutation origin is a seed finding of that report.
 
+use orm_core::{fixtures, validate_all, CheckCode, Severity};
 use orm_dl::{translate, DlOutcome, ExecCx, SaturationEngine, SaturationOutcome, SaturationShards};
-use orm_gen::{frequency_value_scenario, generate, ring_scenario};
+use orm_gen::faults::{inject_all, FaultKind};
+use orm_gen::{frequency_value_scenario, generate, ring_scenario, GenConfig};
 use orm_model::{Constraint, Mandatory, RingKind, Schema};
 use orm_population::{check, CheckOptions, Population};
-use orm_reasoner::{role_satisfiability, type_satisfiability, Bounds};
+use orm_reasoner::{diagnose_saturation, role_satisfiability, type_satisfiability, Bounds};
 use orm_tests::{mappable_config, steps, tiny_config};
 use proptest::prelude::*;
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 const DL_BUDGET: u64 = 120_000;
@@ -39,8 +47,76 @@ fn certify(schema: &Schema, model: &Population) {
     assert!(violations.is_empty(), "saturation witness is not conformant: {violations:?}");
 }
 
+/// Checks that the saturation engine refutes exactly the roles and types
+/// `validate_all` reports unsatisfiable, and that every origin of every
+/// refutation is the identity (code and culprits) of a non-E3
+/// unsatisfiable finding in that report, so its constraints come from a
+/// seed finding. Returns what differs.
+fn one_rule_set(schema: &Schema) -> Result<(), String> {
+    let report = validate_all(schema);
+    let seeds: Vec<(CheckCode, &[orm_model::Element])> = report
+        .findings
+        .iter()
+        .filter(|f| f.severity == Severity::Unsatisfiable && f.code != CheckCode::E3)
+        .map(|f| (f.code, f.culprits.as_slice()))
+        .collect();
+    let engine = SaturationEngine::new(schema);
+    let cx = ExecCx::unlimited();
+    let check_origins = |outcome: SaturationOutcome, what: &str| -> Result<bool, String> {
+        let SaturationOutcome::Unsat(refutation) = outcome else { return Ok(false) };
+        for origin in &refutation.origins {
+            if !seeds.contains(&(origin.code, origin.culprits.as_slice())) {
+                return Err(format!("{what}: origin {origin:?} is no seed finding"));
+            }
+        }
+        Ok(true)
+    };
+    let mut types = BTreeSet::new();
+    for (ty, ot) in schema.object_types() {
+        if check_origins(engine.check_type(ty, &cx), ot.name())? {
+            types.insert(ty);
+        }
+    }
+    let mut roles = BTreeSet::new();
+    for (role, _) in schema.roles() {
+        if check_origins(engine.check_role(role, &cx), schema.role_label(role))? {
+            roles.insert(role);
+        }
+    }
+    if types != report.unsat_types() || roles != report.unsat_roles() {
+        return Err(format!(
+            "saturation refutes types {types:?} and roles {roles:?}, validate_all reports \
+             types {:?} and roles {:?}",
+            report.unsat_types(),
+            report.unsat_roles()
+        ));
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// One rule set on generated schemas: tiny, small and 8-type medium
+    /// configs with up to three planted faults, DL-expressible or not.
+    #[test]
+    fn saturation_refutes_exactly_what_validate_all_reports(
+        seed in any::<u64>(),
+        size in 0usize..3,
+        faults in proptest::collection::vec(0usize..12, 0..4),
+    ) {
+        let config = match size {
+            0 => tiny_config(seed),
+            1 => GenConfig::small(seed),
+            _ => GenConfig { n_types: 8, n_facts: 8, ..GenConfig::medium(seed) },
+        };
+        let mut kinds: Vec<FaultKind> = FaultKind::ALL.to_vec();
+        kinds.extend(FaultKind::BEYOND_DL.iter().filter(|k| !FaultKind::ALL.contains(k)));
+        let planted: Vec<FaultKind> = faults.iter().map(|i| kinds[*i]).collect();
+        let schema = inject_all(&generate(&config), &planted);
+        let verdict = one_rule_set(&schema);
+        prop_assert!(verdict.is_ok(), "seed {seed}, faults {planted:?}: {verdict:?}");
+    }
 
     /// DL-expressible overlap: decided saturation verdicts agree with the
     /// tableau on every role and type, refutations never claim to be
@@ -334,4 +410,40 @@ fn beyond_dl_unsat_pins_saturation_decides_where_tableau_cannot() {
         ring_unsat_beyond_dl >= 3,
         "fewer than three ring-unsat scenarios decided beyond the DL"
     );
+}
+
+/// One rule set on every paper fixture and every example schema.
+#[test]
+fn saturation_refutes_exactly_what_validate_all_reports_on_fixtures_and_examples() {
+    for fixture in fixtures::all() {
+        one_rule_set(&fixture.schema).unwrap_or_else(|e| panic!("{}: {e}", fixture.id));
+    }
+    let dir = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../examples/schemas");
+    for name in ["faulty_flight.orm", "fig1_university.orm", "library.orm"] {
+        let text = std::fs::read_to_string(dir.join(name)).expect("example schema");
+        let schema = orm_syntax::parse(&text).expect("example schema parses");
+        one_rule_set(&schema).unwrap_or_else(|e| panic!("{name}: {e}"));
+    }
+}
+
+/// Fig. 8: the exclusion between `r1` and `r3` contradicts the predicate
+/// subset `(r1, r2) ⊆ (r3, r4)`. Pattern 6 refutes `r1` and `r2`, the
+/// tableau can too (set comparisons are in the DL fragment), and the
+/// diagnosis lists both roles.
+#[test]
+fn fig8_predicate_subset_is_refuted_by_pattern_6() {
+    let schema = fixtures::fig8().schema;
+    let engine = SaturationEngine::new(&schema);
+    let cx = ExecCx::unlimited();
+    for name in ["r1", "r2"] {
+        let role = schema.role_by_name(name).expect("fixture role");
+        let SaturationOutcome::Unsat(refutation) = engine.check_role(role, &cx) else {
+            panic!("{name} is not refuted");
+        };
+        assert!(refutation.origins.iter().any(|o| o.code == CheckCode::P6), "{refutation:?}");
+        assert!(!refutation.beyond_dl);
+    }
+    let diagnosed: Vec<String> =
+        diagnose_saturation(&schema, &cx).into_iter().map(|d| d.label).collect();
+    assert!(diagnosed.contains(&"r1".to_owned()) && diagnosed.contains(&"r2".to_owned()));
 }
