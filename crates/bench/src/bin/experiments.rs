@@ -850,7 +850,7 @@ fn tableau_bench(out_path: &str, budget: u64) {
     let chaos_stats_json = chaos.stats.to_json();
     let service_contract = chaos.disagreements == 0
         && chaos.shed >= 1
-        && chaos.stats.downgrades >= 1
+        && chaos.downgraded >= 1
         && chaos.panics_isolated >= 1
         && chaos.corrupt_rejected >= 1
         && chaos.restores >= 1
@@ -1157,7 +1157,7 @@ fn tableau_bench(out_path: &str, budget: u64) {
     let chaos_queries = chaos.queries;
     let chaos_served = chaos.served;
     let chaos_shed = chaos.shed;
-    let chaos_downgrades = chaos.stats.downgrades;
+    let chaos_downgrades = chaos.downgraded;
     let chaos_decided = chaos.decided;
     let chaos_interrupted = chaos.interrupted;
     let chaos_edits = chaos.edits;

@@ -135,7 +135,9 @@ mod snapshot;
 pub use snapshot::{RestoreReport, SnapshotError};
 
 /// Hit/miss/invalidation/retention counters, for benches and acceptance
-/// checks.
+/// checks. They count tableau-cache and snapshot events only: a service's
+/// admission sheds and downgrades count on its [`crate::exec::Meter`], and
+/// a batch's scheduling in [`crate::par::SchedStats`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Queries answered from the cache without running the tableau.
@@ -169,12 +171,6 @@ pub struct CacheStats {
     /// Tableau runs cut short by an expired wall-clock deadline. Like
     /// `cancelled`, these leave no entry.
     pub deadlined: u64,
-    /// Requests refused outright by a service admission layer
-    /// ([`SatShards::note_shed`] — the cache itself never sheds).
-    pub sheds: u64,
-    /// Requests admitted with a tightened step budget
-    /// ([`SatShards::note_downgrade`]).
-    pub downgrades: u64,
     /// Successful [`SatShards::snapshot`] serializations.
     pub snapshots: u64,
     /// Successful [`SatShards::restore`] installs.
@@ -194,8 +190,8 @@ impl fmt::Display for CacheStats {
         write!(
             f,
             "hits {} / misses {} / retained {} / revalidated {} / evicted {} / \
-             invalidations {} / clears {} / cancelled {} / deadlined {} / sheds {} / \
-             downgrades {} / snapshots {} / restores {} / corrupt_rejected {}",
+             invalidations {} / clears {} / cancelled {} / deadlined {} / snapshots {} / \
+             restores {} / corrupt_rejected {}",
             self.hits,
             self.misses,
             self.retained,
@@ -205,8 +201,6 @@ impl fmt::Display for CacheStats {
             self.clears,
             self.cancelled,
             self.deadlined,
-            self.sheds,
-            self.downgrades,
             self.snapshots,
             self.restores,
             self.corrupt_rejected
@@ -228,8 +222,6 @@ impl CacheStats {
             evicted: self.evicted + other.evicted,
             cancelled: self.cancelled + other.cancelled,
             deadlined: self.deadlined + other.deadlined,
-            sheds: self.sheds + other.sheds,
-            downgrades: self.downgrades + other.downgrades,
             snapshots: self.snapshots + other.snapshots,
             restores: self.restores + other.restores,
             corrupt_rejected: self.corrupt_rejected + other.corrupt_rejected,
@@ -253,8 +245,7 @@ impl CacheStats {
         format!(
             "{{\"hits\": {}, \"misses\": {}, \"invalidations\": {}, \"clears\": {}, \
              \"retained\": {}, \"revalidated\": {}, \"evicted\": {}, \"cancelled\": {}, \
-             \"deadlined\": {}, \"sheds\": {}, \"downgrades\": {}, \"snapshots\": {}, \
-             \"restores\": {}, \"corrupt_rejected\": {}}}",
+             \"deadlined\": {}, \"snapshots\": {}, \"restores\": {}, \"corrupt_rejected\": {}}}",
             self.hits,
             self.misses,
             self.invalidations,
@@ -264,8 +255,6 @@ impl CacheStats {
             self.evicted,
             self.cancelled,
             self.deadlined,
-            self.sheds,
-            self.downgrades,
             self.snapshots,
             self.restores,
             self.corrupt_rejected
@@ -1015,20 +1004,6 @@ impl SatShards {
         for shard in self.shards.iter() {
             shard.lock().clear();
         }
-    }
-
-    /// Record one shed request in [`CacheStats::sheds`]. Admission
-    /// control lives above this crate (in `orm-serve`); the counter
-    /// lives here so one `stats()` call reports the whole service story.
-    /// Booked against shard 0 — the aggregate is what bench runs assert.
-    pub fn note_shed(&self) {
-        self.shards[0].lock().stats.sheds += 1;
-    }
-
-    /// Record one downgraded request in [`CacheStats::downgrades`]
-    /// (see [`SatShards::note_shed`]).
-    pub fn note_downgrade(&self) {
-        self.shards[0].lock().stats.downgrades += 1;
     }
 }
 

@@ -21,6 +21,15 @@ use crate::tableau::DlOutcome;
 use crate::tbox::TBox;
 use std::collections::BTreeSet;
 
+/// The internalized TBox concept `⊓ (¬Cᵢ ⊔ Dᵢ)`, which must hold at every
+/// node of the completion forest. Built per call: the root label deep-clones
+/// it anyway.
+fn internalized(tbox: &TBox) -> Concept {
+    Concept::and(
+        tbox.gcis().iter().map(|(c, d)| Concept::implies(c.clone(), d.clone())).collect::<Vec<_>>(),
+    )
+}
+
 /// Whether `sub ⊑ sup` follows from the TBox: the standard reduction to
 /// unsatisfiability of `sub ⊓ ¬sup`.
 ///
@@ -38,10 +47,10 @@ pub fn subsumes(tbox: &TBox, sup: &Concept, sub: &Concept, budget: u64) -> Optio
 /// Check satisfiability of `query` with respect to `tbox`, spending at most
 /// `budget` rule applications.
 pub fn satisfiable(tbox: &TBox, query: &Concept, budget: u64) -> DlOutcome {
-    let internal = tbox.internalized();
+    let internal = internalized(tbox);
     let mut root_label = BTreeSet::new();
     add_concept(&mut root_label, query.clone());
-    add_concept(&mut root_label, (*internal).clone());
+    add_concept(&mut root_label, internal.clone());
     let graph = Forest {
         nodes: vec![Node {
             alive: true,
@@ -487,6 +496,21 @@ fn subsets_of_size(items: &[usize], k: usize) -> Vec<Vec<usize>> {
 
 #[cfg(test)]
 mod tests {
+    use super::internalized;
+    use crate::concept::Concept;
+    use crate::tbox::TBox;
+
+    #[test]
+    fn internalization_shape() {
+        let mut t = TBox::new();
+        let a = t.atom("A");
+        let b = t.atom("B");
+        t.gci(Concept::Atomic(a), Concept::Atomic(b));
+        let internal = internalized(&t);
+        assert_eq!(internal, Concept::Or(vec![Concept::NotAtomic(a), Concept::Atomic(b)]));
+        assert_eq!(internalized(&TBox::new()), Concept::Top);
+    }
+
     /// The shared scenario suite, run through the reference engine (the
     /// trail-based engine runs the identical list in `tableau::tests`).
     #[test]

@@ -19,9 +19,10 @@
 //!   atomic flag checked at every choice point and worklist pop, with
 //!   parent-chained child tokens ([`ExecCx::child`]) so cancelling one
 //!   batch item never poisons its siblings;
-//! * **metering counters** ([`Meter`]) — steps, proofs, tasks, and
-//!   steals aggregated across every engine run and scheduler worker that
-//!   shares the context.
+//! * **metering counters** ([`Meter`]) — steps and proofs aggregated
+//!   across every engine run and scheduler worker that shares the
+//!   context, plus a service's admission sheds and downgrades. Per-batch
+//!   scheduling counts live in [`crate::par::SchedStats`] instead.
 //!
 //! Interrupted runs surface as the distinct [`Interrupt`] variants
 //! (`Cancelled` / `DeadlineExceeded`), which the tableau maps into
@@ -120,10 +121,6 @@ pub struct Meter {
     steps: AtomicU64,
     /// Individual proofs started under this context.
     proofs: AtomicU64,
-    /// Batch items executed by scheduler workers.
-    tasks: AtomicU64,
-    /// Batch items a worker stole from another worker's queue.
-    steals: AtomicU64,
     /// Requests refused outright by a service admission layer.
     sheds: AtomicU64,
     /// Requests admitted with a tightened step budget by a service
@@ -142,18 +139,6 @@ impl Meter {
     #[must_use]
     pub fn proofs(&self) -> u64 {
         self.proofs.load(Ordering::Relaxed)
-    }
-
-    /// Batch items executed by scheduler workers.
-    #[must_use]
-    pub fn tasks(&self) -> u64 {
-        self.tasks.load(Ordering::Relaxed)
-    }
-
-    /// Batch items stolen across worker queues.
-    #[must_use]
-    pub fn steals(&self) -> u64 {
-        self.steals.load(Ordering::Relaxed)
     }
 
     /// Requests refused outright by a service admission layer.
@@ -185,14 +170,6 @@ impl Meter {
 
     pub(crate) fn add_proof(&self) {
         self.proofs.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn add_task(&self) {
-        self.tasks.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn add_steal(&self) {
-        self.steals.fetch_add(1, Ordering::Relaxed);
     }
 }
 
@@ -499,10 +476,8 @@ mod tests {
         let clone = cx.clone();
         let _ = cx.check_after(10);
         let _ = clone.check_after(5);
-        cx.meter().add_task();
-        clone.meter().add_steal();
+        clone.meter().add_proof();
         assert_eq!(cx.meter().steps(), 15);
-        assert_eq!(cx.meter().tasks(), 1);
-        assert_eq!(cx.meter().steals(), 1);
+        assert_eq!(cx.meter().proofs(), 1);
     }
 }

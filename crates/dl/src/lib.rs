@@ -64,7 +64,9 @@
 //!   checks closed under E3's propagation), attributing every `Unsat` to
 //!   the seed findings it follows from and flagging the verdicts the DL
 //!   translation could not have produced ([`Refutation::beyond_dl`]);
-//!   verdicts are memoized in revision-stamped [`SaturationShards`];
+//!   each engine memoizes its verdicts per object type and role, with
+//!   no stamp: it borrows the schema, which therefore cannot change
+//!   under it;
 //! * [`orm_to_dl`] — the schema translation, recording an
 //!   [`AxiomOrigin`] per emitted axiom so unsat cores map back to the
 //!   ORM constructs that caused them ([`Translation::explain_unsat_cx`] /
@@ -119,8 +121,7 @@ pub use explain::{
 };
 pub use orm_to_dl::{translate, AxiomOrigin, EditSession, Translation};
 pub use saturation::{
-    CheckCode, Origin, Refutation, SaturationCacheStats, SaturationEngine, SaturationOutcome,
-    SaturationShards, SaturationTarget,
+    CheckCode, Origin, Refutation, SaturationEngine, SaturationOutcome, SaturationTarget,
 };
 pub use tableau::{
     satisfiable_cx, satisfiable_with_conflict_cx, satisfiable_with_witness_cx, subsumes_cx,

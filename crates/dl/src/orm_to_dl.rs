@@ -171,9 +171,7 @@ impl Translation {
         self.cache.stats()
     }
 
-    /// The sharded verdict cache itself — for layers above the
-    /// translation (the reasoning service) that meter it directly, e.g.
-    /// to book admission-control sheds and downgrades against its stats.
+    /// The sharded verdict cache itself, e.g. to count its live entries.
     pub fn shards(&self) -> &SatShards {
         &self.cache
     }

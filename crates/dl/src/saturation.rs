@@ -40,10 +40,11 @@
 //! the context onto the `orm_core::ring::ctl` hook, so the doom analysis
 //! (ring-table searches included), the saturation loop and the
 //! certification all charge the same meter and observe the same budget,
-//! deadline and cancellation token. Decided verdicts are cached in
-//! [`SaturationShards`] — sharded, stamped with [`Schema::revision`], and
-//! never populated by interrupted runs — the same stamp discipline as
-//! [`crate::cache::SatShards`].
+//! deadline and cancellation token. Each engine memoizes its decided
+//! verdicts in one slot per object type and per role; interrupted or
+//! undecided runs fill no slot. The memo needs no revision stamp: the
+//! engine borrows its [`Schema`], so the schema cannot change while the
+//! engine lives.
 
 use crate::exec::{ExecCx, Interrupt, CHECK_INTERVAL};
 use crate::tableau::SearchOutcome;
@@ -55,10 +56,8 @@ use orm_model::{
     Constraint, ConstraintId, Element, FactTypeId, ObjectTypeId, RingKind, RingKinds, RoleId,
     Schema, SchemaIndex, SetComparisonKind, Value, ValueConstraint,
 };
-use parking_lot::Mutex;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::OnceLock;
 
 /// Node budget for one candidate model. The saturation rules create at most
 /// a handful of structural nodes per fact type (sinks, mates, cycle
@@ -749,132 +748,67 @@ fn verification_steps(schema: &Schema, pop: &Population) -> u64 {
 }
 
 // ---------------------------------------------------------------------------
-// Verdict cache — sharded, stamped on the schema revision
+// The engine
 // ---------------------------------------------------------------------------
 
-const SHARD_COUNT: usize = 8;
-
+/// A genuine verdict, as the engine memoizes it.
 #[derive(Clone)]
 enum Decided {
     Sat(Population),
     Unsat(Refutation),
 }
 
-/// Cache counters, mirroring the tableau cache's vocabulary.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct SaturationCacheStats {
-    /// Queries answered from a shard.
-    pub hits: u64,
-    /// Queries that had to run the engine.
-    pub misses: u64,
-    /// Whole-cache clears forced by a schema-revision change.
-    pub invalidations: u64,
-}
-
-/// Sharded verdict cache for saturation queries, keyed on
-/// [`SaturationTarget`] and stamped with the schema revision: a query
-/// against a different revision clears every shard before probing, so a
-/// stale verdict can never leak across schema edits. Only genuine verdicts
-/// are stored — interrupted or unknown runs record nothing.
-pub struct SaturationShards {
-    shards: [Mutex<HashMap<SaturationTarget, Decided>>; SHARD_COUNT],
-    stamp: Mutex<Option<u64>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    invalidations: AtomicU64,
-}
-
-impl Default for SaturationShards {
-    fn default() -> Self {
-        SaturationShards {
-            shards: std::array::from_fn(|_| Mutex::new(HashMap::new())),
-            stamp: Mutex::new(None),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            invalidations: AtomicU64::new(0),
+impl From<Decided> for SaturationOutcome {
+    fn from(decided: Decided) -> SaturationOutcome {
+        match decided {
+            Decided::Sat(pop) => SaturationOutcome::Sat(pop),
+            Decided::Unsat(refutation) => SaturationOutcome::Unsat(refutation),
         }
     }
 }
-
-impl SaturationShards {
-    /// An empty cache.
-    pub fn new() -> SaturationShards {
-        SaturationShards::default()
-    }
-
-    fn shard(&self, target: SaturationTarget) -> &Mutex<HashMap<SaturationTarget, Decided>> {
-        let slot = match target {
-            SaturationTarget::Type(t) => t.index(),
-            SaturationTarget::Role(r) => r.index().wrapping_add(0x9e37),
-        };
-        &self.shards[slot % SHARD_COUNT]
-    }
-
-    /// Align the cache with a schema revision, clearing all shards when the
-    /// stamp moved.
-    fn validate(&self, revision: u64) {
-        let mut stamp = self.stamp.lock();
-        if *stamp == Some(revision) {
-            return;
-        }
-        if stamp.is_some() {
-            self.invalidations.fetch_add(1, Ordering::Relaxed);
-        }
-        for shard in &self.shards {
-            shard.lock().clear();
-        }
-        *stamp = Some(revision);
-    }
-
-    fn probe(&self, target: SaturationTarget) -> Option<Decided> {
-        let found = self.shard(target).lock().get(&target).cloned();
-        match &found {
-            Some(_) => self.hits.fetch_add(1, Ordering::Relaxed),
-            None => self.misses.fetch_add(1, Ordering::Relaxed),
-        };
-        found
-    }
-
-    fn record(&self, target: SaturationTarget, decided: Decided) {
-        self.shard(target).lock().insert(target, decided);
-    }
-
-    /// Current counters.
-    pub fn stats(&self) -> SaturationCacheStats {
-        SaturationCacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            invalidations: self.invalidations.load(Ordering::Relaxed),
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// The engine
-// ---------------------------------------------------------------------------
 
 /// The graph-saturation model finder.
 ///
 /// Construction is cheap; the doom analysis runs lazily on the first query
 /// and is shared by every later one (including parallel sweeps — the engine
-/// is `Sync`). See the module docs for the soundness contract.
+/// is `Sync`). Decided verdicts are memoized in one slot per object type
+/// and per role. The engine borrows its schema for its whole life, so the
+/// schema cannot change under a memoized verdict:
+///
+/// ```compile_fail,E0502
+/// use orm_dl::{ExecCx, SaturationEngine};
+/// use orm_model::SchemaBuilder;
+///
+/// let mut b = SchemaBuilder::new("s");
+/// let a = b.entity_type("A").unwrap();
+/// let mut schema = b.finish();
+/// let engine = SaturationEngine::new(&schema);
+/// engine.check_type(a, &ExecCx::unlimited());
+/// schema.set_value_constraint(a, None); // error: `schema` is still borrowed by `engine`
+/// engine.check_type(a, &ExecCx::unlimited());
+/// ```
+///
+/// See the module docs for the soundness contract.
 pub struct SaturationEngine<'s> {
     schema: &'s Schema,
     idx: SchemaIndex,
     doom: OnceLock<Doom>,
-    cache: Arc<SaturationShards>,
+    /// Memoized verdicts, indexed by [`ObjectTypeId::index`].
+    types: Vec<OnceLock<Decided>>,
+    /// Memoized verdicts, indexed by [`RoleId::index`].
+    roles: Vec<OnceLock<Decided>>,
 }
 
 impl<'s> SaturationEngine<'s> {
-    /// An engine with a private cache.
+    /// An engine over `schema`, with an empty verdict memo.
     pub fn new(schema: &'s Schema) -> SaturationEngine<'s> {
-        SaturationEngine::with_cache(schema, Arc::new(SaturationShards::new()))
-    }
-
-    /// An engine sharing `cache` with other engines (the shards re-validate
-    /// against this schema's revision on first use).
-    pub fn with_cache(schema: &'s Schema, cache: Arc<SaturationShards>) -> SaturationEngine<'s> {
-        SaturationEngine { schema, idx: schema.index(), doom: OnceLock::new(), cache }
+        SaturationEngine {
+            schema,
+            idx: schema.index(),
+            doom: OnceLock::new(),
+            types: (0..schema.object_type_count()).map(|_| OnceLock::new()).collect(),
+            roles: (0..schema.role_count()).map(|_| OnceLock::new()).collect(),
+        }
     }
 
     /// The schema index the engine operates on.
@@ -882,27 +816,23 @@ impl<'s> SaturationEngine<'s> {
         &self.idx
     }
 
-    /// Cache counters of the underlying shards.
-    pub fn cache_stats(&self) -> SaturationCacheStats {
-        self.cache.stats()
+    fn slot(&self, target: SaturationTarget) -> &OnceLock<Decided> {
+        match target {
+            SaturationTarget::Type(t) => &self.types[t.index()],
+            SaturationTarget::Role(r) => &self.roles[r.index()],
+        }
     }
 
     /// Decide whether `target` can be populated, under `cx` control.
     pub fn check(&self, target: SaturationTarget, cx: &ExecCx) -> SaturationOutcome {
         // An expired or cancelled context returns its interrupt before the
-        // cache is even probed: interrupted runs never produce a verdict.
+        // memo is even probed: interrupted runs never produce a verdict.
         if let Err(i) = cx.check() {
-            return match i {
-                Interrupt::Cancelled => SaturationOutcome::Cancelled,
-                Interrupt::DeadlineExceeded => SaturationOutcome::DeadlineExceeded,
-            };
+            return interrupted(CxCtl::map(i));
         }
-        self.cache.validate(self.schema.revision());
-        if let Some(decided) = self.cache.probe(target) {
-            return match decided {
-                Decided::Sat(pop) => SaturationOutcome::Sat(pop),
-                Decided::Unsat(refutation) => SaturationOutcome::Unsat(refutation),
-            };
+        let slot = self.slot(target);
+        if let Some(decided) = slot.get() {
+            return decided.clone().into();
         }
         let mut ctl = CxCtl::new(cx);
         let doom = if let Some(d) = self.doom.get() {
@@ -919,7 +849,7 @@ impl<'s> SaturationEngine<'s> {
         };
         if let Some(origins) = doom.origins(element) {
             let refutation = Refutation::new(self.schema, origins.cloned().collect());
-            self.cache.record(target, Decided::Unsat(refutation.clone()));
+            let _ = slot.set(Decided::Unsat(refutation.clone()));
             cx.note_proof();
             return SaturationOutcome::Unsat(refutation);
         }
@@ -948,7 +878,7 @@ impl<'s> SaturationEngine<'s> {
                 {
                     return SaturationOutcome::BudgetExhausted;
                 }
-                self.cache.record(target, Decided::Sat(pop.clone()));
+                let _ = slot.set(Decided::Sat(pop.clone()));
                 cx.note_proof();
                 SaturationOutcome::Sat(pop)
             }
@@ -1025,8 +955,9 @@ mod tests {
         cx.cancel();
         let out = engine.check_role(first_role(&s), &cx);
         assert!(matches!(out, SaturationOutcome::Cancelled), "{out:?}");
-        // Nothing was probed, nothing recorded.
-        assert_eq!(engine.cache_stats().hits + engine.cache_stats().misses, 0);
+        // Nothing was recorded, and no proof was charged.
+        assert!(engine.slot(SaturationTarget::Role(first_role(&s))).get().is_none());
+        assert_eq!(cx.meter().proofs(), 0);
     }
 
     #[test]
@@ -1109,32 +1040,11 @@ mod tests {
         let cx = ExecCx::unlimited();
         let first = engine.check_role(role, &cx);
         assert!(first.is_decided());
-        let stats = engine.cache_stats();
-        assert_eq!((stats.hits, stats.misses), (0, 1));
+        assert_eq!(cx.meter().proofs(), 1);
+        // The re-ask is answered from the memo: no second proof.
         let second = engine.check_role(role, &cx);
-        assert_eq!(first.verdict(), second.verdict());
-        let stats = engine.cache_stats();
-        assert_eq!((stats.hits, stats.misses), (1, 1));
-    }
-
-    #[test]
-    fn shared_cache_invalidates_on_revision_change() {
-        let s1 = ring_schema(&[RingKind::Irreflexive]);
-        let cache = Arc::new(SaturationShards::new());
-        {
-            let engine = SaturationEngine::with_cache(&s1, Arc::clone(&cache));
-            engine.check_role(first_role(&s1), &ExecCx::unlimited());
-        }
-        // A different schema revision must clear the shards.
-        let mut b = SchemaBuilder::new("other");
-        let w = b.entity_type("W").unwrap();
-        b.fact_type("f", w, w).unwrap();
-        let s2 = b.finish();
-        if s2.revision() != s1.revision() {
-            let engine = SaturationEngine::with_cache(&s2, Arc::clone(&cache));
-            engine.check_role(first_role(&s2), &ExecCx::unlimited());
-            assert!(cache.stats().invalidations >= 1);
-        }
+        assert_eq!(first, second);
+        assert_eq!(cx.meter().proofs(), 1);
     }
 
     #[test]

@@ -573,7 +573,7 @@ fn resolve_axioms(tbox: &TBox, axs: AxSet) -> Vec<AxiomId> {
 struct Just {
     /// Decision-level dependency set (see [`DepSet`]).
     deps: DepSet,
-    /// Axiom-usage set (see [`AxSet`]); always 0 when tracking is off.
+    /// Axiom-usage set (see [`AxSet`]).
     axs: AxSet,
 }
 

@@ -164,12 +164,8 @@ pub struct TBox {
     uid: u64,
     /// One entry per mutation; the revision is the log length.
     log: Vec<EditKind>,
-    /// The internalized concept memoized per revision (rebuilt lazily
-    /// when the log has grown; shared by `Arc` so repeated
-    /// satisfiability calls stop cloning every GCI).
-    internal_memo: Mutex<Option<(u64, Arc<Concept>)>>,
-    /// The absorbed rule set, memoized per revision like
-    /// `internal_memo` (built by the first proof, never by a mutation).
+    /// The absorbed rule set, memoized per revision (rebuilt lazily when
+    /// the log has grown; built by the first proof, never by a mutation).
     absorbed_memo: Mutex<Option<(u64, Arc<Absorbed>)>>,
 }
 
@@ -191,7 +187,6 @@ impl Default for TBox {
             disjoint_roles: Vec::new(),
             uid: next_tbox_uid(),
             log: Vec::new(),
-            internal_memo: Mutex::new(None),
             absorbed_memo: Mutex::new(None),
         }
     }
@@ -212,7 +207,6 @@ impl Clone for TBox {
             disjoint_roles: self.disjoint_roles.clone(),
             uid: next_tbox_uid(),
             log: self.log.clone(),
-            internal_memo: Mutex::new(self.internal_memo.lock().clone()),
             absorbed_memo: Mutex::new(self.absorbed_memo.lock().clone()),
         }
     }
@@ -489,41 +483,12 @@ impl TBox {
         RoleClosure::build(self)
     }
 
-    /// The internalized TBox concept `⊓ (¬Cᵢ ⊔ Dᵢ)`, which must hold at
-    /// every node of a tableau. The reference engine ([`crate::classic`])
-    /// seeds it into every label; the trail engine absorbs the GCIs
-    /// instead ([`TBox::absorbed`]).
-    ///
-    /// Memoized per revision: the concept is built (one `implies` clone
-    /// per GCI) the first time a revision is asked for and then shared by
-    /// `Arc` — a classification battery of `O(n²)` satisfiability calls
-    /// stops re-cloning every GCI per query. Any revision bump (read off
-    /// the delta log) invalidates the memo lazily.
-    pub fn internalized(&self) -> Arc<Concept> {
-        let revision = self.revision();
-        let mut memo = self.internal_memo.lock();
-        if let Some((rev, concept)) = memo.as_ref() {
-            if *rev == revision {
-                return Arc::clone(concept);
-            }
-        }
-        let built = Arc::new(Concept::and(
-            self.gcis
-                .iter()
-                .map(|(c, d)| Concept::implies(c.clone(), d.clone()))
-                .collect::<Vec<_>>(),
-        ));
-        *memo = Some((revision, Arc::clone(&built)));
-        built
-    }
-
     /// The TBox compiled into the trail engine's absorbed rules (see
     /// [`crate::absorb`]): lazy unfolding, told disjointness and
     /// domain/range rules, plus the internalized residue.
     ///
-    /// Memoized per revision like [`TBox::internalized`] and built by the
-    /// first proof that asks — mutators never build it, so an edit pays
-    /// nothing for it.
+    /// Memoized per revision and built by the first proof that asks —
+    /// mutators never build it, so an edit pays nothing for it.
     pub fn absorbed(&self) -> Arc<Absorbed> {
         let revision = self.revision();
         let mut memo = self.absorbed_memo.lock();
@@ -707,40 +672,6 @@ mod tests {
         assert_eq!(r1, r2);
         assert_eq!(t.role_name(r1), "R");
         assert_eq!(t.atom_count(), 1);
-    }
-
-    #[test]
-    fn internalization_shape() {
-        let mut t = TBox::new();
-        let a = t.atom("A");
-        let b = t.atom("B");
-        t.gci(Concept::Atomic(a), Concept::Atomic(b));
-        let internal = t.internalized();
-        assert_eq!(*internal, Concept::Or(vec![Concept::NotAtomic(a), Concept::Atomic(b)]));
-        assert_eq!(*TBox::new().internalized(), Concept::Top);
-    }
-
-    /// The memo hands out one shared allocation per revision and rebuilds
-    /// exactly when the delta log grows.
-    #[test]
-    fn internalized_is_memoized_per_revision() {
-        let mut t = TBox::new();
-        let a = Concept::Atomic(t.atom("A"));
-        let b = Concept::Atomic(t.atom("B"));
-        t.gci(a.clone(), b.clone());
-        let first = t.internalized();
-        assert!(Arc::ptr_eq(&first, &t.internalized()), "same revision rebuilt the concept");
-        // A fresh name is not a mutation: the memo survives.
-        t.atom("Fresh");
-        assert!(Arc::ptr_eq(&first, &t.internalized()), "name interning dropped the memo");
-        // An axiom is: the memo is rebuilt with the new GCI folded in.
-        t.gci(b.clone(), a.clone());
-        let second = t.internalized();
-        assert!(!Arc::ptr_eq(&first, &second));
-        assert_eq!(
-            *second,
-            Concept::and([Concept::implies(a.clone(), b.clone()), Concept::implies(b, a)])
-        );
     }
 
     #[test]

@@ -39,15 +39,13 @@
 
 use crate::GenConfig;
 use orm_dl::par::fan_out_cx;
-use orm_dl::{
-    CacheStats, ExecCx, SaturationEngine, SaturationOutcome, SaturationShards, SearchOutcome,
-};
+use orm_dl::{CacheStats, ExecCx, SaturationEngine, SaturationOutcome, SearchOutcome};
 use orm_model::{ObjectTypeId, RoleId, Schema};
 use orm_serve::{Overloaded, ReasonerService, ServiceConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Arc, Once};
+use std::sync::Once;
 use std::time::Duration;
 
 /// Markers carried by the panic payloads this harness injects on purpose.
@@ -127,7 +125,7 @@ pub struct ChaosReport {
     pub served: usize,
     /// Requests refused at admission ([`Overloaded`]).
     pub shed: usize,
-    /// Requests admitted at a degraded budget (from the merged stats).
+    /// Requests admitted at a degraded budget (from the services' meters).
     pub downgraded: u64,
     /// Served requests that ended in an honest interrupt
     /// (`Cancelled` / `DeadlineExceeded` / `BudgetExhausted`).
@@ -435,6 +433,7 @@ pub fn run_chaos(cfg: &ChaosConfig) -> ChaosReport {
         saboteurs.push(flipped);
     }
     let mut sabotage_stats = CacheStats::default();
+    let mut sabotage_downgrades = 0;
     for bad in &saboteurs {
         let victim = ReasonerService::new(&schema, cfg.service);
         if victim.restore(bad).is_err() {
@@ -457,6 +456,7 @@ pub fn run_chaos(cfg: &ChaosConfig) -> ChaosReport {
         // the blob valid *and* installable, decided verdicts are still
         // checked below by the clean-restore sweep.)
         sabotage_stats = sabotage_stats.merge(victim.stats());
+        sabotage_downgrades += victim.meter().downgrades();
     }
 
     // -- Phase 5: clean warm restart --------------------------------------
@@ -504,27 +504,25 @@ pub fn run_chaos(cfg: &ChaosConfig) -> ChaosReport {
     // reference above is useless here — `generate` schemas carry ring,
     // value and frequency constructs the translation reports as unmapped —
     // so decided verdicts are judged against a fresh sequential unlimited
-    // saturation pass instead. Two storm engines: one sharing the
-    // reference's cache (every hit must reproduce the recorded verdict)
-    // and one cold (every verdict recomputed from scratch). All injected
+    // saturation pass instead. Two storm passes: one on the reference
+    // engine itself (every memo hit must reproduce the recorded verdict)
+    // and one on a cold engine (every verdict recomputed). All injected
     // interrupts are metered or pre-expired, never wall-clock races, so
     // the storm's counters are exactly reproducible from the seed.
-    let sat_cache = Arc::new(SaturationShards::new());
-    let sat_ref_engine = SaturationEngine::with_cache(&schema, Arc::clone(&sat_cache));
+    let sat_ref_engine = SaturationEngine::new(&schema);
     let unlimited = ExecCx::unlimited();
     let sat_ref_types = sat_ref_engine.type_sweep(&unlimited);
     let sat_ref_roles = sat_ref_engine.role_sweep(&unlimited);
-    let warm = SaturationEngine::with_cache(&schema, Arc::clone(&sat_cache));
     let cold = SaturationEngine::new(&schema);
     let mut rng = StdRng::seed_from_u64(cfg.seed.wrapping_add(0x5A70));
-    for (pass, engine) in [&warm, &cold].into_iter().enumerate() {
+    for (pass, engine) in [&sat_ref_engine, &cold].into_iter().enumerate() {
         let typed = sat_ref_types.iter().map(|(ty, e)| (SaturationProbe::Type(*ty), e));
         let roled = sat_ref_roles.iter().map(|(r, e)| (SaturationProbe::Role(*r), e));
         for (i, (probe, expected)) in typed.chain(roled).enumerate() {
             let flavor = (i + pass) % 4;
             let cx = match flavor {
                 // Already-cancelled context: must interrupt before any
-                // cache probe or verdict.
+                // memo probe or verdict.
                 0 => {
                     let cx = ExecCx::unlimited();
                     cx.cancel();
@@ -571,7 +569,11 @@ pub fn run_chaos(cfg: &ChaosConfig) -> ChaosReport {
         .merge(persist.stats())
         .merge(sabotage_stats)
         .merge(restarted.stats());
-    report.downgraded = report.stats.downgrades;
+    report.downgraded = [&service, &drain, &degrade, &persist, &restarted]
+        .iter()
+        .map(|s| s.meter().downgrades())
+        .sum::<u64>()
+        + sabotage_downgrades;
     report
 }
 

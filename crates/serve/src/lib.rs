@@ -21,8 +21,9 @@
 //!   Degraded runs end in an honest `BudgetExhausted`; the verdict cache
 //!   guarantees a starved retry can never *weaken* a richer cached
 //!   `Unknown`, and a definitive verdict is never displaced. Sheds and
-//!   downgrades are counted in the service [`Meter`] and in
-//!   [`CacheStats`].
+//!   downgrades are counted once, in the service [`Meter`]; admission
+//!   takes no lock, so a shed answers at once even while an edit holds
+//!   the write lock.
 //! * **Crash-safe snapshots** — [`ReasonerService::snapshot`] serializes
 //!   the warm cache (verdicts, witnesses, unsat cores, MUS families,
 //!   seed pool) into a versioned, checksummed blob;
@@ -248,7 +249,7 @@ impl ReasonerService {
     /// and the admitted step cap.
     fn try_admit(&self, cx: &ExecCx) -> Result<(Permit<'_>, u64), Overloaded> {
         if self.deadline_hopeless(cx) || cx.is_cancelled() {
-            self.note_shed();
+            self.meter.add_shed();
             return Err(Overloaded);
         }
         // Reserve first, then check: the slot is visible to concurrent
@@ -257,25 +258,15 @@ impl ReasonerService {
         let permit = Permit { inflight: &self.inflight };
         if prev >= self.cfg.max_inflight {
             drop(permit);
-            self.note_shed();
+            self.meter.add_shed();
             return Err(Overloaded);
         }
         if prev >= self.cfg.soft_inflight {
-            self.note_downgrade();
+            self.meter.add_downgrade();
             Ok((permit, self.cfg.degraded_steps))
         } else {
             Ok((permit, self.cfg.full_steps))
         }
-    }
-
-    fn note_shed(&self) {
-        self.meter.add_shed();
-        self.read().shards().note_shed();
-    }
-
-    fn note_downgrade(&self) {
-        self.meter.add_downgrade();
-        self.read().shards().note_downgrade();
     }
 
     /// Admit, derive the request's effective context, and run `f` under
@@ -368,8 +359,9 @@ impl ReasonerService {
         self.read().restore(bytes)
     }
 
-    /// Aggregated cache counters, including the service-level `sheds`,
-    /// `downgrades`, `snapshots`, `restores` and `corrupt_rejected`.
+    /// Aggregated cache counters, including `snapshots`, `restores` and
+    /// `corrupt_rejected`. Admission sheds and downgrades are on
+    /// [`ReasonerService::meter`].
     pub fn stats(&self) -> CacheStats {
         self.read().cache_stats()
     }
@@ -426,7 +418,6 @@ mod tests {
         assert_eq!(service.check_type(phd, &ExecCx::unlimited()), Err(Overloaded));
         assert_eq!(service.admission(&ExecCx::unlimited()), Admission::Shed);
         assert_eq!(service.meter().sheds(), 1);
-        assert_eq!(service.stats().sheds, 1);
         assert_eq!(service.inflight(), 0, "shed request held its slot");
     }
 
@@ -444,6 +435,46 @@ mod tests {
         assert_eq!(service.stats().misses, 0);
     }
 
+    /// Admission decides a hopeless request without the translation lock,
+    /// so it is shed at once even while an edit holds the write lock.
+    #[test]
+    fn hopeless_requests_are_shed_while_an_edit_holds_the_lock() {
+        let (schema, phd, _) = fig1();
+        let service = ReasonerService::new(&schema, ServiceConfig::default());
+        let cancelled = ExecCx::unlimited();
+        cancelled.cancel();
+        let expired = ExecCx::unlimited().with_deadline(Instant::now() - Duration::from_millis(1));
+        let (locked_tx, locked_rx) = std::sync::mpsc::channel();
+        let (release_tx, release_rx) = std::sync::mpsc::channel::<()>();
+        let (answer_tx, answer_rx) = std::sync::mpsc::channel();
+        let (service, cancelled, expired) = (&service, &cancelled, &expired);
+        std::thread::scope(|scope| {
+            scope.spawn(move || {
+                service.edit(|_| {
+                    locked_tx.send(()).unwrap();
+                    let _ = release_rx.recv();
+                })
+            });
+            locked_rx.recv().unwrap();
+            scope.spawn(move || {
+                for cx in [cancelled, expired] {
+                    let _ = answer_tx.send(service.check_type(phd, cx));
+                }
+            });
+            let answers: Vec<_> = (0..2)
+                .map(|_| answer_rx.recv_timeout(Duration::from_millis(100)))
+                .take_while(Result::is_ok)
+                .collect();
+            release_tx.send(()).unwrap();
+            assert_eq!(
+                answers,
+                [Ok(Err(Overloaded)), Ok(Err(Overloaded))],
+                "shed waited on the edit"
+            );
+        });
+        assert_eq!(service.meter().sheds(), 2);
+    }
+
     #[test]
     fn soft_overload_degrades_to_an_honest_unknown() {
         // Person's Sat verdict needs two steps (one worklist pop, one
@@ -455,7 +486,6 @@ mod tests {
         let verdict = service.check_type(person, &ExecCx::unlimited()).unwrap();
         assert_eq!(verdict, SearchOutcome::BudgetExhausted, "degraded run wasn't honest");
         assert_eq!(service.meter().downgrades(), 1);
-        assert_eq!(service.stats().downgrades, 1);
         // The degraded Unknown gates equally-starved retries (hit), but
         // never masks the richer truth: a fresh service at full budget
         // proves Sat — and so would this one once load drops.

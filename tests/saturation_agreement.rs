@@ -17,9 +17,9 @@
 //! constructs as unmapped — cannot refute them. These are exactly the
 //! cases the saturation engine exists for.
 //!
-//! The cached query path (shared [`SaturationShards`]) and the parallel
+//! The memoized query path (one engine asked twice) and the parallel
 //! sweeps (`type_sweep_par` / `role_sweep_par` over `fan_out_cx`) are
-//! differentially pinned against the uncached sequential drivers.
+//! differentially pinned against cold sequential drivers.
 //!
 //! **One rule set.** The engine refutes with `orm_core`'s doom analysis, so
 //! on generated schemas, the paper's fixtures and the example schemas it
@@ -27,7 +27,7 @@
 //! refutation origin is a seed finding of that report.
 
 use orm_core::{fixtures, validate_all, CheckCode, Severity};
-use orm_dl::{translate, DlOutcome, ExecCx, SaturationEngine, SaturationOutcome, SaturationShards};
+use orm_dl::{translate, DlOutcome, ExecCx, SaturationEngine, SaturationOutcome};
 use orm_gen::faults::{inject_all, FaultKind};
 use orm_gen::{frequency_value_scenario, generate, ring_scenario, GenConfig};
 use orm_model::{Constraint, Mandatory, RingKind, Schema};
@@ -36,7 +36,6 @@ use orm_reasoner::{diagnose_saturation, role_satisfiability, type_satisfiability
 use orm_tests::{mappable_config, steps, tiny_config};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
-use std::sync::Arc;
 
 const DL_BUDGET: u64 = 120_000;
 
@@ -228,46 +227,36 @@ proptest! {
         }
     }
 
-    /// Cached vs uncached: engines sharing [`SaturationShards`] answer
-    /// exactly like a cold engine, on the miss pass and on the pass served
-    /// from memory.
+    /// Memoized vs cold: one engine asked twice answers exactly like a cold
+    /// engine on both passes, and the second pass is served from the memo
+    /// without charging a single proof.
     #[test]
     fn cached_and_uncached_saturation_agree(seed in any::<u64>()) {
         let schema = generate(&tiny_config(seed));
-        let cache = Arc::new(SaturationShards::new());
-        let cx = ExecCx::unlimited();
-        let mut decided = 0usize;
+        let warm = SaturationEngine::new(&schema);
         for pass in 0..2 {
-            let warm = SaturationEngine::with_cache(&schema, Arc::clone(&cache));
+            let cx = ExecCx::unlimited();
             let cold = SaturationEngine::new(&schema);
             for (role, _) in schema.roles() {
-                let outcome = warm.check_role(role, &cx);
-                decided += usize::from(pass == 0 && outcome.is_decided());
                 prop_assert_eq!(
-                    outcome.verdict(),
-                    cold.check_role(role, &cx).verdict(),
-                    "cache diverged on role {} (seed {seed}, pass {pass})",
+                    warm.check_role(role, &cx),
+                    cold.check_role(role, &ExecCx::unlimited()),
+                    "memo diverged on role {} (seed {seed}, pass {pass})",
                     schema.role_label(role)
                 );
             }
             for (ty, _) in schema.object_types() {
-                let outcome = warm.check_type(ty, &cx);
-                decided += usize::from(pass == 0 && outcome.is_decided());
                 prop_assert_eq!(
-                    outcome.verdict(),
-                    cold.check_type(ty, &cx).verdict(),
-                    "cache diverged on type {} (seed {seed}, pass {pass})",
+                    warm.check_type(ty, &cx),
+                    cold.check_type(ty, &ExecCx::unlimited()),
+                    "memo diverged on type {} (seed {seed}, pass {pass})",
                     schema.object_type(ty).name()
                 );
             }
+            if pass == 1 {
+                prop_assert_eq!(cx.meter().proofs(), 0, "second pass re-proved (seed {seed})");
+            }
         }
-        // Only genuine verdicts are cached; each decided target of the
-        // first pass must be served from memory on the second.
-        let stats = cache.stats();
-        prop_assert!(
-            stats.hits >= decided as u64,
-            "second pass was not served from the shards ({decided} decided): {stats:?}"
-        );
     }
 
     /// Sequential vs `fan_out_cx` sweeps: verdict for verdict, order for
@@ -307,21 +296,26 @@ proptest! {
     }
 
     /// An interrupted run returns the interrupt, never a verdict — and
-    /// never touches the cache, so it cannot launder a stale answer.
+    /// fills no memo slot, so the next uncancelled check proves afresh.
     #[test]
     fn interrupted_runs_never_vouch(seed in any::<u64>()) {
         let schema = generate(&tiny_config(seed));
         let engine = SaturationEngine::new(&schema);
-        let cx = ExecCx::unlimited();
-        cx.cancel();
+        let cancelled = ExecCx::unlimited();
+        cancelled.cancel();
         for (role, _) in schema.roles() {
-            prop_assert!(matches!(engine.check_role(role, &cx), SaturationOutcome::Cancelled));
+            prop_assert!(matches!(engine.check_role(role, &cancelled), SaturationOutcome::Cancelled));
+            let cx = ExecCx::unlimited();
+            let outcome = engine.check_role(role, &cx);
+            prop_assert_eq!(cx.meter().proofs(), u64::from(outcome.is_decided()));
         }
         for (ty, _) in schema.object_types() {
-            prop_assert!(matches!(engine.check_type(ty, &cx), SaturationOutcome::Cancelled));
+            prop_assert!(matches!(engine.check_type(ty, &cancelled), SaturationOutcome::Cancelled));
+            let cx = ExecCx::unlimited();
+            let outcome = engine.check_type(ty, &cx);
+            prop_assert_eq!(cx.meter().proofs(), u64::from(outcome.is_decided()));
         }
-        let stats = engine.cache_stats();
-        prop_assert_eq!(stats.hits + stats.misses, 0, "cancelled runs probed the cache");
+        prop_assert_eq!(cancelled.meter().proofs(), 0, "a cancelled run charged a proof");
     }
 }
 
